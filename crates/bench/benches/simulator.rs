@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use xtsim::des::{FluidPool, LinkId, Sim, SimDuration};
+use xtsim::des::{FluidPool, LinkId, Sim, SimDuration, SimTime};
 use xtsim::hpcc::util::job;
 use xtsim::machine::{fit_dims, presets, ExecMode};
 use xtsim::mpi::{simulate, CollectiveMode, Message, ReduceOp, WorldConfig};
@@ -19,7 +19,31 @@ fn quick() -> bool {
     std::env::var_os("XTSIM_BENCH_QUICK").is_some_and(|v| v == "1")
 }
 
-/// Raw event throughput of the DES core.
+/// Many pools completing at one instant: `pools` single-link fluid pools,
+/// each running two equal transfers per round for `rounds` rounds. The pools
+/// run in lockstep, so every round's completions from all of them share one
+/// instant, as POP's per-node memory pools do when its ranks finish a
+/// compute phase together. The executor then holds one flow lane per pool
+/// at that instant; picking the next lane must not cost O(pools).
+fn flow_lanes(pools: usize, rounds: usize) -> SimTime {
+    let mut sim = Sim::new(0);
+    for _ in 0..pools {
+        let pool = FluidPool::new(sim.handle());
+        let link = pool.add_link(1.0e9);
+        for _ in 0..2 {
+            let pool = pool.clone();
+            sim.spawn(async move {
+                for _ in 0..rounds {
+                    pool.transfer(&[link], 1.0e6, None).await;
+                }
+            });
+        }
+    }
+    sim.run()
+}
+
+/// Raw event throughput of the DES core, and same-instant completion
+/// ordering across many fluid pools.
 fn bench_event_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("des_events");
     let events = 100_000u64;
@@ -35,6 +59,11 @@ fn bench_event_loop(c: &mut Criterion) {
             });
             sim.run()
         });
+    });
+    let (pools, rounds) = (if quick() { 2_000 } else { 4_000 }, 10);
+    g.throughput(Throughput::Elements((pools * 2 * rounds) as u64));
+    g.bench_function("flow_lanes_4k", |b| {
+        b.iter(|| flow_lanes(pools, rounds));
     });
     g.finish();
 }

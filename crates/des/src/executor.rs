@@ -38,7 +38,13 @@
 //!   by wake order.
 //! * Fluid-pool completions ([`crate::FluidPool`]) — the one exception: a
 //!   pool's pending completions take the seq of the pool's **most recent
-//!   rebalance** (see [`Bucket`]) and order among themselves by flow uid.
+//!   rebalance** and order among themselves by flow uid. Each instant keeps
+//!   them in one lane per pool, indexed by pool, plus a min-heap of the
+//!   lanes' seqs; [`SimCore::touch_flow_source`] only ever raises a pool's
+//!   seq, so a heap key can only be stale *low* and is re-keyed when it
+//!   reaches the top. A pop fires the lower-seq one of the FIFO front and
+//!   the heap's top lane, in O(log lanes), and picks exactly the lane a
+//!   scan of every lane would (see [`Bucket`] for the invariant).
 //!
 //! Two runs of the same program therefore produce byte-identical schedules,
 //! and the parallel mode ([`crate::pdes`]) reuses the same counter when it
@@ -46,7 +52,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::pin::Pin;
@@ -73,42 +80,88 @@ pub(crate) type FlowSourceId = usize;
 /// One pending instant's events.
 ///
 /// The `fifo` lane holds ordinary events in schedule order (their seq is
-/// recorded at push time and is monotone, so the deque is seq-sorted). The
-/// `flows` lane holds fluid-model completion events, grouped per source and
-/// ordered by flow uid; their effective seq is *dynamic* — the seq of the
-/// owning pool's most recent rebalance — because the legacy rebalancer
-/// re-enqueued every completion event of the pool on every rebalance, which
-/// placed them behind any ordinary event scheduled earlier. Replaying that
-/// ordering from a single per-pool counter keeps schedules bit-identical to
-/// the historical global-rebalance implementation without ever re-queueing
-/// an event whose ETA did not move.
+/// recorded at push time and is monotone, so the deque is seq-sorted). Fluid
+/// completion events sit in per-source lanes (`flows`, indexed by source),
+/// each ordered by flow uid. A lane's effective seq is *dynamic* — the seq
+/// of the owning pool's most recent rebalance (`flow_seq[source]`) — because
+/// the legacy rebalancer re-enqueued every completion event of the pool on
+/// every rebalance, which placed them behind any ordinary event scheduled
+/// earlier. Replaying that ordering from a single per-pool counter keeps
+/// schedules bit-identical to the historical global-rebalance
+/// implementation without ever re-queueing an event whose ETA did not move.
+///
+/// `order` holds exactly one `(key, source)` entry per live lane, and a lane
+/// is dropped as soon as it empties. Keys are refreshed lazily, which is
+/// exact because of two invariants:
+///
+/// * a key is never above its source's current `flow_seq`:
+///   [`SimCore::touch_flow_source`] only ever replaces that with a fresh,
+///   larger counter value, so an entry can go stale only *low*;
+/// * live lanes have pairwise distinct `flow_seq`s: a pool touches itself
+///   before it queues a completion, and every touch draws a fresh value.
+///
+/// So a fresh top entry names the lane with the smallest effective seq —
+/// the lane a scan of every lane would pick — and a stale top is re-keyed in
+/// place and sifted down until the top is fresh.
 #[derive(Default)]
 struct Bucket {
     fifo: VecDeque<(u64, EventAction)>,
-    flows: Vec<(FlowSourceId, std::collections::BTreeMap<u64, EventAction>)>,
+    flows: HashMap<FlowSourceId, BTreeMap<u64, EventAction>, BuildHasherDefault<WordHasher>>,
+    order: BinaryHeap<Reverse<(u64, FlowSourceId)>>,
 }
 
 impl Bucket {
     fn is_empty(&self) -> bool {
-        self.fifo.is_empty() && self.flows.iter().all(|(_, m)| m.is_empty())
+        self.fifo.is_empty() && self.flows.is_empty()
+    }
+
+    /// `(flow_seq, source)` of the flow lane that fires next, re-keying
+    /// stale heap tops on the way.
+    fn first_flow(&mut self, flow_seq: &[u64]) -> Option<(u64, FlowSourceId)> {
+        loop {
+            let mut top = self.order.peek_mut()?;
+            let Reverse((key, source)) = *top;
+            let current = flow_seq[source];
+            if key == current {
+                return Some((key, source));
+            }
+            *top = Reverse((current, source)); // sifted down when `top` drops
+        }
+    }
+
+    /// Pop the first event of `source`'s lane, which must be the heap's top,
+    /// and drop the lane once it empties.
+    fn pop_flow(&mut self, source: FlowSourceId) -> Option<EventAction> {
+        let lane = self.flows.get_mut(&source)?;
+        let (_, action) = lane.pop_first()?;
+        if lane.is_empty() {
+            self.flows.remove(&source);
+            self.order.pop();
+        }
+        Some(action)
     }
 }
 
-/// Multiplicative hasher for the bucket table, whose keys are single `u64`
-/// timestamps. The default SipHash showed up as the dominant per-event cost
-/// in `des_events/sleep_chain_100k` (every push and pop does a bucket-table
-/// probe); one Fibonacci-style multiply mixes the low picosecond bits into
-/// the high bits hashbrown uses for control bytes, which is plenty for
-/// timestamps and costs ~1ns. Not DoS-resistant — irrelevant for a simulator
-/// hashing its own clock values.
+/// Multiplicative hasher for the bucket table and the per-bucket lane
+/// index, whose keys are single words (`u64` timestamps, flow-source ids).
+/// The default SipHash showed up as the dominant per-event cost in
+/// `des_events/sleep_chain_100k` (every push and pop does a bucket-table
+/// probe); one Fibonacci-style multiply mixes the low bits into the high
+/// bits hashbrown uses for control bytes, which is plenty for timestamps and
+/// dense ids and costs ~1ns. Not DoS-resistant — irrelevant for a simulator
+/// hashing its own clock values and pool numbers.
 #[derive(Default)]
-struct TimeHasher(u64);
+struct WordHasher(u64);
 
-impl Hasher for TimeHasher {
+impl Hasher for WordHasher {
     #[inline]
     fn write_u64(&mut self, v: u64) {
         self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 ^= self.0 >> 29;
+    }
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -131,7 +184,7 @@ impl Hasher for TimeHasher {
 struct EventQueue {
     /// Distinct pending timestamps (min-heap).
     times: BinaryHeap<Reverse<SimTime>>,
-    buckets: HashMap<SimTime, Bucket, BuildHasherDefault<TimeHasher>>,
+    buckets: HashMap<SimTime, Bucket, BuildHasherDefault<WordHasher>>,
     /// Drained buckets kept for reuse, so steady-state scheduling is
     /// allocation-free.
     spare: Vec<Bucket>,
@@ -142,8 +195,8 @@ impl EventQueue {
     fn bucket_for(&mut self, time: SimTime) -> &mut Bucket {
         self.len += 1;
         match self.buckets.entry(time) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
                 let bucket = self.spare.pop().unwrap_or_default();
                 self.times.push(Reverse(time));
                 e.insert(bucket)
@@ -155,20 +208,30 @@ impl EventQueue {
         self.bucket_for(time).fifo.push_back((seq, action));
     }
 
-    /// Queue a fluid completion event for `(source, uid)`. A stale entry for
-    /// the same flow at the same instant (superseded generation) is simply
-    /// overwritten — firing it once is equivalent to firing a no-op twice.
-    fn push_flow(&mut self, time: SimTime, source: FlowSourceId, uid: u64, action: EventAction) {
+    /// Queue a fluid completion event for `(source, uid)`; `seq` is the
+    /// source's current `flow_seq`. A stale entry for the same flow at the
+    /// same instant (superseded generation) is simply overwritten — firing it
+    /// once is equivalent to firing a no-op twice.
+    fn push_flow(
+        &mut self,
+        time: SimTime,
+        source: FlowSourceId,
+        seq: u64,
+        uid: u64,
+        action: EventAction,
+    ) {
         let bucket = self.bucket_for(time);
-        if let Some((_, m)) = bucket.flows.iter_mut().find(|(s, _)| *s == source) {
-            if m.insert(uid, action).is_some() {
-                self.len -= 1;
+        match bucket.flows.entry(source) {
+            Entry::Occupied(lane) => {
+                if lane.into_mut().insert(uid, action).is_some() {
+                    self.len -= 1;
+                }
             }
-            return;
+            Entry::Vacant(slot) => {
+                slot.insert(BTreeMap::new()).insert(uid, action);
+                bucket.order.push(Reverse((seq, source)));
+            }
         }
-        let mut m = std::collections::BTreeMap::new();
-        m.insert(uid, action);
-        bucket.flows.push((source, m));
     }
 
     /// Remove and return the earliest event. Within an instant, ordinary
@@ -177,33 +240,23 @@ impl EventQueue {
     fn pop(&mut self, flow_seq: &[u64]) -> Option<(SimTime, EventAction)> {
         let &Reverse(time) = self.times.peek()?;
         let bucket = self.buckets.get_mut(&time).expect("bucket for queued time");
-        // Pick the lane holding the smallest effective seq.
+        // Fire whichever lane holds the smallest effective seq.
         let fifo_seq = bucket.fifo.front().map(|&(s, _)| s);
-        let mut best_flow: Option<(u64, usize)> = None; // (pool seq, index in flows)
-        for (i, (source, m)) in bucket.flows.iter().enumerate() {
-            if !m.is_empty() {
-                let s = flow_seq[*source];
-                if best_flow.is_none_or(|(bs, _)| s < bs) {
-                    best_flow = Some((s, i));
-                }
-            }
-        }
+        let first_flow = bucket.first_flow(flow_seq);
         // The `?`s below are unreachable by construction — `fifo_seq` /
-        // `best_flow` only name non-empty lanes — so the happy path is
+        // `first_flow` only name non-empty lanes — so the happy path is
         // untouched and the hot path stays panic-free.
-        let action = match (fifo_seq, best_flow) {
-            (Some(fs), Some((ps, i))) if ps < fs => bucket.flows[i].1.pop_first()?.1,
+        let action = match (fifo_seq, first_flow) {
+            (Some(fs), Some((ps, source))) if ps < fs => bucket.pop_flow(source)?,
             (Some(_), _) => bucket.fifo.pop_front()?.1,
-            (None, Some((_, i))) => bucket.flows[i].1.pop_first()?.1,
+            (None, Some((_, source))) => bucket.pop_flow(source)?,
             (None, None) => unreachable!("queued time with empty bucket"),
         };
         self.len -= 1;
         if bucket.is_empty() {
             self.times.pop();
-            if let Some(mut empty) = self.buckets.remove(&time) {
+            if let Some(empty) = self.buckets.remove(&time) {
                 if self.spare.len() < 32 {
-                    empty.fifo.clear();
-                    empty.flows.clear();
                     self.spare.push(empty);
                 }
             }
@@ -309,7 +362,8 @@ impl SimCore {
         action: EventAction,
     ) {
         let time = time.max(self.now.get());
-        self.events.borrow_mut().push_flow(time, source, uid, action);
+        let seq = self.flow_seq.borrow()[source];
+        self.events.borrow_mut().push_flow(time, source, seq, uid, action);
     }
 
     /// Pre-size the event queue for `additional` more events (used by the
@@ -844,6 +898,209 @@ mod tests {
         let serial = run_log(&[]);
         let chunked = run_log(&[1, 12_000, 25_000, 25_001, 60_000]);
         assert_eq!(serial, chunked);
+    }
+
+    /// The lane selection the indexed queue replaced, kept as the reference:
+    /// each instant's flow lanes stay in first-push order until the instant
+    /// drains, and every pop scans all of them for the smallest `flow_seq`.
+    #[derive(Default)]
+    struct ScanQueue {
+        buckets: BTreeMap<SimTime, ScanBucket>,
+    }
+
+    #[derive(Default)]
+    struct ScanBucket {
+        fifo: VecDeque<(u64, EventAction)>,
+        flows: Vec<(FlowSourceId, BTreeMap<u64, EventAction>)>,
+    }
+
+    impl ScanQueue {
+        fn push(&mut self, time: SimTime, seq: u64, action: EventAction) {
+            self.buckets.entry(time).or_default().fifo.push_back((seq, action));
+        }
+
+        fn push_flow(&mut self, time: SimTime, source: FlowSourceId, uid: u64, action: EventAction) {
+            let bucket = self.buckets.entry(time).or_default();
+            match bucket.flows.iter_mut().find(|(s, _)| *s == source) {
+                Some((_, lane)) => {
+                    lane.insert(uid, action);
+                }
+                None => bucket.flows.push((source, BTreeMap::from([(uid, action)]))),
+            }
+        }
+
+        fn pop(&mut self, flow_seq: &[u64]) -> Option<(SimTime, EventAction)> {
+            let mut entry = self.buckets.first_entry()?;
+            let time = *entry.key();
+            let bucket = entry.get_mut();
+            let fifo_seq = bucket.fifo.front().map(|&(s, _)| s);
+            let mut best_flow: Option<(u64, usize)> = None;
+            for (i, (source, lane)) in bucket.flows.iter().enumerate() {
+                let s = flow_seq[*source];
+                if !lane.is_empty() && best_flow.is_none_or(|(bs, _)| s < bs) {
+                    best_flow = Some((s, i));
+                }
+            }
+            let action = match (fifo_seq, best_flow) {
+                (Some(fs), Some((ps, i))) if ps < fs => bucket.flows[i].1.pop_first().unwrap().1,
+                (Some(_), _) => bucket.fifo.pop_front().unwrap().1,
+                (None, Some((_, i))) => bucket.flows[i].1.pop_first().unwrap().1,
+                (None, None) => unreachable!("queued time with empty bucket"),
+            };
+            if bucket.fifo.is_empty() && bucket.flows.iter().all(|(_, lane)| lane.is_empty()) {
+                entry.remove();
+            }
+            Some((time, action))
+        }
+    }
+
+    /// [`EventQueue`] and [`ScanQueue`] fed the same operations, plus the
+    /// executor state those operations read and write.
+    struct Lockstep {
+        indexed: EventQueue,
+        scan: ScanQueue,
+        flow_seq: Vec<u64>,
+        touched: Vec<bool>,
+        fired: Rc<Cell<u64>>,
+        seq: u64,
+        now: u64,
+        label: u64,
+        pops: u64,
+        overwrites: u64,
+        recycled: u64,
+        widest: usize,
+    }
+
+    impl Lockstep {
+        fn new(sources: usize) -> Lockstep {
+            Lockstep {
+                indexed: EventQueue::default(),
+                scan: ScanQueue::default(),
+                flow_seq: vec![0; sources],
+                touched: vec![false; sources],
+                fired: Rc::new(Cell::new(u64::MAX)),
+                seq: 0,
+                now: 0,
+                label: 0,
+                pops: 0,
+                overwrites: 0,
+                recycled: 0,
+                widest: 0,
+            }
+        }
+
+        /// A callback that records `self.label` when fired.
+        fn action(&self) -> EventAction {
+            let (fired, label) = (Rc::clone(&self.fired), self.label);
+            EventAction::Call(Box::new(move || fired.set(label)))
+        }
+
+        fn fire(&self, action: EventAction) -> u64 {
+            match action {
+                EventAction::Call(f) => f(),
+                EventAction::Wake(_) => unreachable!("only callbacks are queued"),
+            }
+            self.fired.get()
+        }
+
+        /// What [`SimCore::touch_flow_source`] does.
+        fn touch(&mut self, source: usize) {
+            self.flow_seq[source] = self.seq;
+            self.seq += 1;
+            self.touched[source] = true;
+        }
+
+        /// One ordinary push, flow push or re-sequencing drawn from `r`, at
+        /// one of the four instants from `now` on.
+        fn mutate(&mut self, r: u64) {
+            let time = SimTime::from_ps(self.now + (r >> 8) % 4 * 1_000);
+            let source = (r >> 16) as usize % self.flow_seq.len();
+            match (r >> 40) % 8 {
+                0 | 1 => {
+                    self.indexed.push(time, self.seq, self.action());
+                    self.scan.push(time, self.seq, self.action());
+                    self.seq += 1;
+                }
+                2 => self.touch(source),
+                _ => {
+                    // A pool re-sequences before it queues a completion.
+                    if !self.touched[source] || (r >> 48).is_multiple_of(3) {
+                        self.touch(source);
+                    }
+                    let uid = (r >> 52) % 4;
+                    let (len, spare) = (self.indexed.len, self.indexed.spare.len());
+                    let seq = self.flow_seq[source];
+                    self.indexed.push_flow(time, source, seq, uid, self.action());
+                    self.scan.push_flow(time, source, uid, self.action());
+                    self.overwrites += u64::from(self.indexed.len == len);
+                    self.recycled += u64::from(self.indexed.spare.len() < spare);
+                    let lanes = self.indexed.buckets.get(&time).map_or(0, |b| b.flows.len());
+                    self.widest = self.widest.max(lanes);
+                }
+            }
+            self.label += 1;
+        }
+
+        /// Pop both queues and require the same event; false once both are
+        /// empty.
+        fn pop(&mut self) -> bool {
+            let n = self.pops;
+            match (self.indexed.pop(&self.flow_seq), self.scan.pop(&self.flow_seq)) {
+                (Some((ta, a)), Some((tb, b))) => {
+                    assert_eq!(ta, tb, "pop {n}: instants differ");
+                    assert_eq!(self.fire(a), self.fire(b), "pop {n} at {ta}: events differ");
+                    self.now = ta.as_ps();
+                    self.pops += 1;
+                    true
+                }
+                (None, None) => false,
+                _ => panic!("pop {n}: one queue is empty and the other is not"),
+            }
+        }
+    }
+
+    /// Drives the indexed queue and the linear-scan reference with one seeded
+    /// stream of ordinary pushes, flow pushes (overwrites included) and pool
+    /// re-sequencing over 1,000 sources sharing four instants, popping as it
+    /// goes so instants drain and their buckets are recycled. Both must fire
+    /// the same events in the same order.
+    #[test]
+    fn indexed_flow_lanes_pop_like_the_linear_scan() {
+        let mut state = 0x5EED_u64;
+        let mut rand = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut q = Lockstep::new(1_000);
+        for round in 0..40usize {
+            // A burst of mutations, then pops down to a fraction of what is
+            // pending (every fourth round: to empty), still mutating
+            // between pops.
+            for _ in 0..2_500 {
+                q.mutate(rand());
+            }
+            let target = if round % 4 == 3 { 0 } else { q.indexed.len / (2 + round % 3) };
+            while q.indexed.len > target {
+                let r = rand();
+                if r % 4 == 0 {
+                    q.mutate(r);
+                } else {
+                    q.pop();
+                }
+            }
+        }
+        while q.pop() {}
+        assert_eq!(q.indexed.len, 0);
+        // The stream exercised what it is meant to.
+        let (pops, overwrites, recycled, widest) = (q.pops, q.overwrites, q.recycled, q.widest);
+        assert!(pops > 50_000, "{pops} pops");
+        assert!(overwrites > 1_000, "{overwrites} same-instant flow overwrites");
+        assert!(recycled > 100, "{recycled} buckets reused from the spare list");
+        assert!(widest > 300, "the widest instant held only {widest} flow lanes");
     }
 
     #[test]

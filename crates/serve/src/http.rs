@@ -76,15 +76,30 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Read one header-block line (request line or header) into a fresh
+/// string, reading at most the `left` bytes of header budget that remain
+/// and charging what it read against them. `None` on a read error or when
+/// the budget runs out before the line ends, so an endless line costs at
+/// most the budget, never a wait for the read timeout.
+fn read_header_line(reader: &mut impl BufRead, left: &mut usize) -> Option<String> {
+    let mut line = String::new();
+    let n = reader.take(*left as u64).read_line(&mut line).ok()?;
+    *left -= n;
+    if *left == 0 && !line.ends_with('\n') {
+        return None;
+    }
+    Some(line)
+}
+
 /// Read and parse one request off `stream`. Returns `None` on malformed or
 /// oversized input (the caller answers 400 and closes).
 pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     // A stalled client must not wedge a handler thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let mut reader = BufReader::new(stream);
+    let mut header_left = MAX_HEADER_BYTES;
 
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let line = read_header_line(&mut reader, &mut header_left)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let target = parts.next()?.to_string();
@@ -94,14 +109,8 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     }
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).ok()?;
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return None;
-        }
+        let h = read_header_line(&mut reader, &mut header_left)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -178,5 +187,44 @@ mod tests {
         assert!(roundtrip(b"GET / FTP/9\r\n\r\n").is_none());
         // Declared body longer than what arrives: read_exact fails.
         assert!(roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort").is_none());
+    }
+
+    #[test]
+    fn endless_header_line_is_rejected_at_the_budget() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (hang_up, held) = std::sync::mpsc::channel::<()>();
+        let tx = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\nX-Pad: ").unwrap();
+            // The server stops reading at its budget and may hang up
+            // before this write completes.
+            let _ = s.write_all(&[b'a'; 64 * 1024]);
+            // Keep the connection open, newline never sent, until the
+            // server has answered.
+            let _ = held.recv();
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let start = std::time::Instant::now();
+        let req = read_request(&mut conn);
+        let waited = start.elapsed();
+        drop(conn);
+        hang_up.send(()).unwrap();
+        tx.join().unwrap();
+        assert!(req.is_none());
+        assert!(waited < Duration::from_secs(5), "rejected only after {waited:?}");
+    }
+
+    #[test]
+    fn header_block_may_fill_the_budget_exactly() {
+        let head = b"GET / HTTP/1.1\r\nX-Pad: ";
+        let pad = MAX_HEADER_BYTES - head.len() - b"\r\n\r\n".len();
+        let mut raw = head.to_vec();
+        raw.resize(raw.len() + pad, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(raw.len(), MAX_HEADER_BYTES);
+        assert!(roundtrip(&raw).is_some());
+        raw.insert(head.len(), b'a');
+        assert!(roundtrip(&raw).is_none());
     }
 }

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: lint, build, full test suite (includes the golden-figure
-# regression harness, the sweep-engine determinism/cache tests, the
-# two-tier cache interleaving property tests, the observability
-# trace/metrics consistency tests, and the cache-key and JSON-string
-# property tests), then a cache-disabled quick-scale smoke run of the
-# figures binary itself, a trace/metrics export smoke, CLI validation
-# checks, a serve smoke with a parallel-clients phase over the shared
-# memory tier, and the bench gate (including the >=2x memory-vs-disk
-# cache acceptance check).
+# CI gate: lint, build, the repository benchmark's smoke run, full test
+# suite (includes the golden-figure regression harness, the sweep-engine
+# determinism/cache tests, the two-tier cache interleaving property tests,
+# the observability trace/metrics consistency tests, and the cache-key and
+# JSON-string property tests), then a cache-disabled quick-scale smoke run
+# of the figures binary itself, a trace/metrics export smoke, CLI
+# validation checks, a serve smoke with a parallel-clients phase over the
+# shared memory tier, and the bench gate (including the >=2x
+# memory-vs-disk cache acceptance check and the same-instant flow-lane
+# bench that guards the executor's indexed lanes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,6 +88,12 @@ rm -rf "$out"
 
 echo "== build (release) =="
 cargo build --workspace --release
+
+echo "== repository benchmark smoke (quick outputs vs pins, result lines) =="
+# Every benchmark workload at quick scale, seeds 0, 1 and 2: outputs must
+# match benchmark/expected/ and each result line must carry every metric
+# BENCHMARK.json declares.
+bash benchmark/run.sh --smoke
 
 echo "== tests =="
 # Root-package tests carry the golden gate; --workspace adds every crate's
@@ -383,6 +390,7 @@ assert rec["schema"] == "xtsim-bench-v1", f"bad schema: {rec.get('schema')}"
 assert rec["quick"] is True, "quick run must record quick=true"
 benches = rec["benches"]
 for name in (
+    "des_events/flow_lanes_4k",
     "fluid_pool/flows_1k",
     "fluid_pool/flows_10k",
     "alltoall_fluid/ranks_256",

@@ -20,6 +20,5 @@ pub mod cam;
 pub mod checkpoint;
 pub mod common;
 pub mod namd;
-pub mod pdes;
 pub mod pop;
 pub mod s3d;

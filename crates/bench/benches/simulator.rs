@@ -211,35 +211,6 @@ fn bench_alltoall_fluid(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pairwise-exchange alltoall on the conservative parallel-DES engine
-/// (`xtsim::apps::pdes`): the wall-clock headline for `--des-threads`.
-/// Serial (1 shard / 1 thread) vs partitioned (4 shards / 4 threads) on the
-/// same scenario — the results are byte-identical (see
-/// `tests/pdes_equivalence.rs`), so this measures speedup only.
-fn pdes_alltoall(ranks: usize, shards: usize, threads: usize) -> f64 {
-    use xtsim::apps::pdes::{alltoall, PdesScenario};
-    let mut sc = PdesScenario::new(presets::xt4(), ExecMode::VN, ranks);
-    if shards > 1 || threads > 1 {
-        sc = sc.sharded(shards, threads);
-    }
-    alltoall(&sc, 64 * 1024).time_s
-}
-
-fn bench_pdes_alltoall(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pdes_alltoall");
-    g.sample_size(10);
-    let ranks = if quick() { 128 } else { 1_024 };
-    for &(shards, threads, label) in &[
-        (1usize, 1usize, "ranks_1024/threads_1"),
-        (4, 4, "ranks_1024/threads_4"),
-    ] {
-        g.bench_function(label, |b| {
-            b.iter(|| pdes_alltoall(ranks, shards, threads));
-        });
-    }
-    g.finish();
-}
-
 // ------------------------------------------------------------------- cache
 
 /// A synthetic figure spec exercising the cache path: `n_jobs` jobs whose
@@ -384,7 +355,6 @@ criterion_group!(
     bench_figure_quick,
     bench_fluid_pool,
     bench_alltoall_fluid,
-    bench_pdes_alltoall,
     bench_cache
 );
 criterion_main!(simulator);

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]
-//!         [--ablations] [--jobs N] [--des-threads N] [--no-cache]
+//!         [--ablations] [--jobs N] [--no-cache]
 //!         [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]
 //!         [--trace DIR] [--metrics FILE]
 //! ```
@@ -28,18 +28,12 @@
 //! `--metrics FILE` writes a machine-readable per-figure metrics record
 //! (cache hits/misses, wall-clock, simulated-time breakdown by span
 //! category). Either flag enables trace capture inside the simulations.
-//!
-//! Parallel DES: `--des-threads N` (or the `DES_THREADS` env var; the flag
-//! wins) hands each sweep job a worker-thread budget for the conservative
-//! parallel engine. PDES-aware figures (fig24) shard their worlds across
-//! that many threads; output is byte-identical for every value of N — the
-//! differential tests in `tests/pdes_equivalence.rs` enforce it.
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use xtsim::ablations::all_ablations;
-use xtsim::cli::{des_threads_from_env, parse_byte_size, parse_positive, parse_scale, select_figures};
+use xtsim::cli::{parse_byte_size, parse_positive, parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
 use xtsim::sweep::{run_figure, DiskCache, FigureMetrics, SweepConfig, DEFAULT_MEM_CAP};
@@ -55,7 +49,6 @@ struct Args {
     cache_mem_cap: u64,
     trace_dir: Option<PathBuf>,
     metrics: Option<PathBuf>,
-    des_threads: usize,
 }
 
 fn default_jobs() -> usize {
@@ -74,18 +67,14 @@ fn parse_args() -> Args {
         cache_mem_cap: DEFAULT_MEM_CAP,
         trace_dir: None,
         metrics: None,
-        des_threads: des_threads_from_env(),
     };
     let mut it = std::env::args().skip(1);
-    // Numeric flags share xtsim::cli validation with xtsim-serve: a bad
-    // token exits 2 and names itself (never a panic).
-    let positive = |flag: &str, v: Option<String>| -> usize {
-        let v = v.unwrap_or_else(|| {
+    // A flag missing its value, or a bad token, exits 2 and names the flag
+    // (never a panic); numeric flags share xtsim::cli validation with
+    // xtsim-serve.
+    let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
+        it.next().unwrap_or_else(|| {
             eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        });
-        parse_positive(flag, &v).unwrap_or_else(|e| {
-            eprintln!("{e}");
             std::process::exit(2);
         })
     };
@@ -94,51 +83,44 @@ fn parse_args() -> Args {
             "--full" => args.scale = Scale::Full,
             "--quick" => args.scale = Scale::Quick,
             "--scale" => {
-                let v = it.next();
-                args.scale = match v.as_deref().and_then(parse_scale) {
-                    Some(scale) => scale,
-                    None => {
-                        eprintln!("--scale needs quick|full, got {v:?}");
-                        std::process::exit(2);
-                    }
-                };
+                let v = need(&mut it, "--scale");
+                args.scale = parse_scale(&v).unwrap_or_else(|| {
+                    eprintln!("--scale needs quick|full, got {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--ablations" => args.ablations = true,
             // Explicit "everything" flag (the default set is also everything;
             // this exists so scripts can say what they mean).
             "--all" => args.only = None,
             "--only" => {
-                let ids = it.next().expect("--only needs an id list");
+                let ids = need(&mut it, "--only");
                 args.only = Some(ids.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a directory")),
-            "--jobs" => args.jobs = positive("--jobs", it.next()),
-            "--des-threads" => args.des_threads = positive("--des-threads", it.next()),
-            "--no-cache" => args.cache = false,
-            "--cache-dir" => {
-                args.cache_dir = PathBuf::from(it.next().expect("--cache-dir needs a directory"));
-            }
-            "--cache-mem-cap" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--cache-mem-cap needs a byte size (like 64m, 512k or 0)");
+            "--out" => args.out = PathBuf::from(need(&mut it, "--out")),
+            "--jobs" => {
+                let v = need(&mut it, "--jobs");
+                args.jobs = parse_positive("--jobs", &v).unwrap_or_else(|e| {
+                    eprintln!("{e}");
                     std::process::exit(2);
                 });
+            }
+            "--no-cache" => args.cache = false,
+            "--cache-dir" => args.cache_dir = PathBuf::from(need(&mut it, "--cache-dir")),
+            "--cache-mem-cap" => {
+                let v = need(&mut it, "--cache-mem-cap");
                 args.cache_mem_cap =
                     parse_byte_size("--cache-mem-cap", &v).unwrap_or_else(|e| {
                         eprintln!("{e}");
                         std::process::exit(2);
                     });
             }
-            "--trace" => {
-                args.trace_dir = Some(PathBuf::from(it.next().expect("--trace needs a directory")));
-            }
-            "--metrics" => {
-                args.metrics = Some(PathBuf::from(it.next().expect("--metrics needs a file path")));
-            }
+            "--trace" => args.trace_dir = Some(PathBuf::from(need(&mut it, "--trace"))),
+            "--metrics" => args.metrics = Some(PathBuf::from(need(&mut it, "--metrics"))),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]\n\
-                     \x20              [--ablations] [--jobs N] [--des-threads N] [--no-cache]\n\
+                     \x20              [--ablations] [--jobs N] [--no-cache]\n\
                      \x20              [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]\n\
                      \x20              [--trace DIR] [--metrics FILE]"
                 );
@@ -170,7 +152,7 @@ fn make_config(args: &Args) -> SweepConfig {
     if args.metrics.is_some() {
         cfg = cfg.with_metrics();
     }
-    cfg.with_des_threads(args.des_threads)
+    cfg
 }
 
 fn main() {

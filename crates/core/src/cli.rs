@@ -1,7 +1,7 @@
 //! Shared request/argument validation for the harness front ends.
 //!
 //! The `figures` CLI and the `xtsim-serve` service accept the same scenario
-//! parameters (figure ids, scale, DES thread budget); this module is the
+//! parameters (figure ids, scale, worker counts); this module is the
 //! single implementation of their validation so the two can never drift —
 //! an id the CLI rejects with exit 2 is exactly an id the service rejects
 //! with 404.
@@ -39,7 +39,7 @@ pub fn select_figures(figures: Vec<Figure>, only: &[String]) -> Result<Vec<Figur
         .collect())
 }
 
-/// Parse a strictly positive integer argument (`--jobs`, `--des-threads`,
+/// Parse a strictly positive integer argument (`--jobs`,
 /// `--max-concurrent`, ...). The error names the flag and quotes the
 /// offending token so front ends can print it verbatim and exit 2.
 pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
@@ -80,32 +80,6 @@ pub fn parse_byte_size(flag: &str, value: &str) -> Result<u64, String> {
     };
     let n: u64 = digits.trim_end().parse().map_err(|_| err())?;
     n.checked_mul(unit).ok_or_else(err)
-}
-
-/// DES worker-thread budget from the `DES_THREADS` environment variable.
-///
-/// Unset means serial (1). A set-but-unparsable value (`DES_THREADS=abc`,
-/// `=0`, `=-2`) also runs serial, but *says so* on stderr — silently
-/// ignoring an explicit request to parallelize hides misconfiguration.
-// xtsim-lint: allow(transitive-taint, "the warn-event timestamp is stderr telemetry read before the sim starts; no sim state derives from it")
-pub fn des_threads_from_env() -> usize {
-    match std::env::var("DES_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                xtsim_obs::events::warn(
-                    "xtsim::cli",
-                    &format!(
-                        "ignoring DES_THREADS={v:?} (needs a positive integer); \
-                         running the serial DES engine"
-                    ),
-                    &[("env_var", "DES_THREADS"), ("value", &v)],
-                );
-                1
-            }
-        },
-        Err(_) => 1,
-    }
 }
 
 #[cfg(test)]

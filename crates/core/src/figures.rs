@@ -68,7 +68,6 @@ pub fn all_figures() -> Vec<Figure> {
         Figure { id: "fig21", title: "NAMD performance impact of SN vs VN", build: fig21 },
         Figure { id: "fig22", title: "S3D parallel performance", build: fig22 },
         Figure { id: "fig23", title: "AORSA parallel performance", build: fig23 },
-        Figure { id: "fig24", title: "Parallel DES: sharded alltoall and halo step (extension)", build: fig24 },
     ]
 }
 
@@ -818,53 +817,6 @@ fn fig23(scale: Scale) -> FigureSpec {
     spec
 }
 
-/// Figure 24 (extension, not in the paper): the conservative parallel
-/// engine running the aggregate-bandwidth patterns of §5 — a pairwise
-/// alltoall and an iterated halo+allreduce step — on sharded analytic
-/// worlds. The shard count is fixed (part of the experiment); the *thread*
-/// count comes from [`crate::sweep::des_threads`] and must never change a
-/// number, which `tests/pdes_equivalence.rs` and the golden harness both
-/// enforce.
-fn fig24(scale: Scale) -> FigureSpec {
-    const SHARDS: usize = 4;
-    let ranks: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 32, 64],
-        Scale::Full => vec![64, 128, 256, 512, 1024],
-    };
-    let mut b = PlanBuilder::new(
-        "fig24",
-        "Parallel DES: sharded alltoall and halo step",
-        "ranks",
-        "completion time (ms)",
-    );
-    let a2a = b.series("pairwise alltoall 64 KiB");
-    let halo = b.series("halo+allreduce step (10 x 1 KiB)");
-    for &p in &ranks {
-        let key = JobKey::new("pdes", Some(&presets::xt4()), Some(ExecMode::VN), scale)
-            .with("ranks", p)
-            .with("shards", SHARDS)
-            .with("a2a_bytes", 65536)
-            .with("halo_bytes", 1024)
-            .with("halo_iters", 10);
-        let job = b.job(key, move || {
-            let threads = crate::sweep::des_threads();
-            let sc = xtsim_apps::pdes::PdesScenario::new(presets::xt4(), ExecMode::VN, p)
-                .sharded(SHARDS, threads);
-            let a = xtsim_apps::pdes::alltoall(&sc, 65536);
-            let h = xtsim_apps::pdes::halo_allreduce(&sc, 1024, 10);
-            obj(vec![
-                ("a2a_ms", (a.time_s * 1e3).into()),
-                ("halo_ms", (h.time_s * 1e3).into()),
-                ("halo_checksum", h.checksum.into()),
-            ])
-        });
-        b.point(a2a, p as f64, job, "a2a_ms");
-        b.point(halo, p as f64, job, "halo_ms");
-    }
-    b.note(format!("worlds sharded {SHARDS} ways; DES threads from the engine (results thread-invariant)"));
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,20 +824,10 @@ mod tests {
     #[test]
     fn registry_covers_every_table_and_figure() {
         let figs = all_figures();
-        assert_eq!(figs.len(), 25); // table1 + fig01..fig23 + fig24 extension
-        for want in ["table1", "fig01", "fig12", "fig23", "fig24"] {
+        assert_eq!(figs.len(), 24); // table1 + fig01..fig23
+        for want in ["table1", "fig01", "fig12", "fig23"] {
             assert!(figs.iter().any(|f| f.id == want), "{want} missing");
         }
-    }
-
-    #[test]
-    fn fig24_is_des_thread_invariant() {
-        let spec = figure("fig24").unwrap().spec(Scale::Quick);
-        let serial = crate::sweep::run_figure(spec, &crate::sweep::SweepConfig::serial()).0;
-        let spec = figure("fig24").unwrap().spec(Scale::Quick);
-        let cfg = crate::sweep::SweepConfig::serial().with_des_threads(4);
-        let par = crate::sweep::run_figure(spec, &cfg).0;
-        assert_eq!(serial.render(), par.render());
     }
 
     #[test]

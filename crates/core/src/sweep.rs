@@ -23,7 +23,6 @@
 //! [`ENGINE_VERSION`] whenever simulator semantics change; every old entry
 //! then misses.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,11 +176,6 @@ pub struct SweepConfig {
     /// Collect per-job [`TraceSummary`]s and a per-figure [`FigureMetrics`]
     /// record (implied by `trace_dir`).
     pub collect_metrics: bool,
-    /// DES worker-thread budget advertised to each job via
-    /// [`des_threads`]. Figures that can shard their worlds run the
-    /// parallel engine with this many threads; by contract the knob never
-    /// changes simulated numbers, so it is *not* part of [`JobKey`].
-    pub des_threads: usize,
 }
 
 impl Default for SweepConfig {
@@ -191,7 +185,6 @@ impl Default for SweepConfig {
             cache: None,
             trace_dir: None,
             collect_metrics: false,
-            des_threads: 1,
         }
     }
 }
@@ -225,29 +218,9 @@ impl SweepConfig {
         self
     }
 
-    /// Advertise a DES worker-thread budget to every job (see
-    /// [`des_threads`]).
-    pub fn with_des_threads(mut self, n: usize) -> SweepConfig {
-        self.des_threads = n.max(1);
-        self
-    }
-
     fn capture(&self) -> bool {
         self.collect_metrics || self.trace_dir.is_some()
     }
-}
-
-thread_local! {
-    static DES_THREADS: Cell<usize> = const { Cell::new(1) };
-}
-
-/// The DES worker-thread budget for the currently executing sweep job
-/// (from [`SweepConfig::des_threads`]; `1` outside the engine). PDES-aware
-/// figures pass this to their sharded worlds. The parallel engine is
-/// deterministic — results must never depend on this value — which is why
-/// it rides a thread-local instead of the cache key.
-pub fn des_threads() -> usize {
-    DES_THREADS.with(|c| c.get())
 }
 
 /// Per-job entry of a [`FigureMetrics`] record.
@@ -394,7 +367,6 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
     );
     let exec = |i: usize| -> JobOutcome {
         let sw = xtsim_obs::Stopwatch::start();
-        DES_THREADS.with(|c| c.set(cfg.des_threads.max(1)));
         let out = if capture {
             trace::capture_begin();
             let v = (spec.jobs[i].run)();
@@ -402,7 +374,6 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
         } else {
             ((spec.jobs[i].run)(), None)
         };
-        DES_THREADS.with(|c| c.set(1));
         job_exec_seconds.observe_since(&sw);
         out
     };

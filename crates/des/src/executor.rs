@@ -46,9 +46,7 @@
 //!   the heap's top lane, in O(log lanes), and picks exactly the lane a
 //!   scan of every lane would (see [`Bucket`] for the invariant).
 //!
-//! Two runs of the same program therefore produce byte-identical schedules,
-//! and the parallel mode ([`crate::pdes`]) reuses the same counter when it
-//! merges cross-partition events, so its schedules are reproducible too.
+//! Two runs of the same program therefore produce byte-identical schedules.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -262,11 +260,6 @@ impl EventQueue {
             }
         }
         Some((time, action))
-    }
-
-    /// Earliest pending timestamp, if any.
-    fn peek_time(&self) -> Option<SimTime> {
-        self.times.peek().map(|&Reverse(t)| t)
     }
 
     /// Pre-size for `additional` more events beyond the current count.
@@ -582,29 +575,6 @@ impl Sim {
     /// silently half-finished simulation would corrupt every measurement
     /// derived from it.
     pub fn run(&mut self) -> SimTime {
-        self.run_bounded(None);
-        self.assert_quiescent();
-        self.handle.core.now()
-    }
-
-    /// Run until every pending event at times **strictly before** `horizon`
-    /// has fired and the ready queue is drained, then stop without advancing
-    /// the clock further.
-    ///
-    /// This is the epoch step of the conservative parallel mode
-    /// ([`crate::pdes`]): events at or beyond the horizon stay queued, tasks
-    /// blocked on them stay blocked, and a later `run_until` (or [`Sim::run`])
-    /// resumes seamlessly. Within the horizon the schedule is identical to
-    /// what an unbounded [`Sim::run`] would produce — the bound only decides
-    /// *where to pause*, never the order of events.
-    ///
-    /// Returns the earliest still-pending event time (necessarily
-    /// `>= horizon`), or `None` if the queue is empty.
-    pub fn run_until(&mut self, horizon: SimTime) -> Option<SimTime> {
-        self.run_bounded(Some(horizon))
-    }
-
-    fn run_bounded(&mut self, horizon: Option<SimTime>) -> Option<SimTime> {
         let core = &self.handle.core;
         loop {
             core.commit_staged();
@@ -639,14 +609,7 @@ impl Sim {
                 }
                 core.commit_staged();
             }
-            // Phase 2: advance time to the next event (stopping at the
-            // horizon, when one is set).
-            if let Some(h) = horizon {
-                match core.events.borrow().peek_time() {
-                    Some(t) if t < h => {}
-                    other => return other,
-                }
-            }
+            // Phase 2: advance time to the next event.
             let entry = {
                 let flow_seq = core.flow_seq.borrow();
                 core.events.borrow_mut().pop(&flow_seq)
@@ -660,26 +623,15 @@ impl Sim {
                         EventAction::Call(f) => f(),
                     }
                 }
-                None => return None,
+                None => break,
             }
         }
+        self.assert_quiescent();
+        core.now()
     }
 
-    /// Earliest pending event time, or `None` if the event queue is empty.
-    /// Tasks parked on channels/notifies without a timer do not count.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.handle.core.events.borrow().peek_time()
-    }
-
-    /// Number of spawned tasks that have not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.handle.core.live_tasks.get()
-    }
-
-    /// Panic unless every spawned task has completed — the same deadlock
-    /// check [`Sim::run`] performs, exposed so the parallel mode can assert
-    /// it per shard after global quiescence.
-    pub fn assert_quiescent(&self) {
+    /// Panic unless every spawned task has completed.
+    fn assert_quiescent(&self) {
         let leaked = self.handle.core.live_tasks.get();
         assert!(
             leaked == 0,
@@ -868,36 +820,6 @@ mod tests {
         sim.run();
         // call_at scheduled before either task first polled its sleep.
         assert_eq!(*log.borrow(), vec!["call", "first", "second"]);
-    }
-
-    #[test]
-    fn run_until_pauses_and_resumes_identically() {
-        // Reference: one unbounded run.
-        let run_log = |horizons: &[u64]| {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let mut sim = Sim::new(7);
-            for id in 0..4u64 {
-                let h = sim.handle();
-                let l = Rc::clone(&log);
-                sim.spawn(async move {
-                    for step in 0..5u64 {
-                        h.sleep(SimDuration::from_ns(10 + id)).await;
-                        l.borrow_mut().push((h.now().as_ps(), id, step));
-                    }
-                });
-            }
-            for &hz in horizons {
-                let next = sim.run_until(SimTime::from_ps(hz));
-                if let Some(t) = next {
-                    assert!(t >= SimTime::from_ps(hz));
-                }
-            }
-            sim.run();
-            Rc::try_unwrap(log).unwrap().into_inner()
-        };
-        let serial = run_log(&[]);
-        let chunked = run_log(&[1, 12_000, 25_000, 25_001, 60_000]);
-        assert_eq!(serial, chunked);
     }
 
     /// The lane selection the indexed queue replaced, kept as the reference:
@@ -1101,20 +1023,5 @@ mod tests {
         assert!(overwrites > 1_000, "{overwrites} same-instant flow overwrites");
         assert!(recycled > 100, "{recycled} buckets reused from the spare list");
         assert!(widest > 300, "the widest instant held only {widest} flow lanes");
-    }
-
-    #[test]
-    fn run_until_reports_next_pending_event() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        sim.spawn(async move {
-            h.sleep(SimDuration::from_ns(100)).await;
-        });
-        assert_eq!(sim.run_until(SimTime::from_ps(1000)), Some(SimTime::from_ps(100000)));
-        assert_eq!(sim.next_event_time(), Some(SimTime::from_ps(100000)));
-        assert_eq!(sim.live_tasks(), 1);
-        assert_eq!(sim.run_until(SimTime::from_ps(1000000)), None);
-        assert_eq!(sim.live_tasks(), 0);
-        sim.assert_quiescent();
     }
 }

@@ -11,9 +11,7 @@
 //!   servers, disks).
 //! * [`FluidPool`] — max-min fair bandwidth sharing over capacitated links
 //!   (torus links, memory controllers, injection ports).
-//! * [`pdes`] — conservative parallel execution of a partitioned world
-//!   (barrier epochs + [`mailbox`] SPSC channels), byte-identical to serial
-//!   for any thread count.
+//! * [`trace`] — typed span capture for per-job simulated-time breakdowns.
 //!
 //! ## Example
 //!
@@ -35,8 +33,6 @@ mod channel;
 mod combinators;
 mod executor;
 mod fluid;
-pub mod mailbox;
-pub mod pdes;
 mod resource;
 mod sync;
 mod time;
@@ -48,5 +44,5 @@ pub use executor::{JoinHandle, Sim, SimHandle, Sleep, YieldNow};
 pub use fluid::{FluidPool, LinkId, RebalanceStats, Transfer};
 pub use resource::FifoStation;
 pub use sync::{Notify, Semaphore, SemaphoreGuard, SimBarrier};
-pub use trace::{Span, SpanCategory, TraceData, TraceEvent, TraceSummary, Tracer};
+pub use trace::{Span, SpanCategory, TraceData, TraceSummary};
 pub use time::{SimDuration, SimTime, PS_PER_SEC};

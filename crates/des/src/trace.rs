@@ -1,18 +1,13 @@
 //! Structured event tracing for the simulation stack.
 //!
-//! Two layers live here:
-//!
-//! * [`Tracer`] — the original bounded ring buffer of `(time, category,
-//!   label)` text records, kept for interactive debugging dumps.
-//! * The **typed span stream** — instrumented components ([`xtsim_mpi`]
-//!   sends/receives/collectives, the network platform's wire flows, the
-//!   Lustre I/O phases) emit [`Span`] records carrying a [`SpanCategory`],
-//!   the rank/node involved, precise start/end times, and numeric payload
-//!   fields. Spans are collected per thread through the [`capture_begin`] /
-//!   [`capture_end`] API, summarized into per-category sim-time totals
-//!   ([`TraceData::summary`]), and exported as Chrome trace-event JSON
-//!   ([`TraceData::to_chrome_json`]) loadable in Perfetto or
-//!   `chrome://tracing`.
+//! Instrumented components ([`xtsim_mpi`] sends/receives/collectives, the
+//! network platform's wire flows, the Lustre I/O phases) emit [`Span`]
+//! records carrying a [`SpanCategory`], the rank/node involved, precise
+//! start/end times, and numeric payload fields. Spans are collected per
+//! thread through the [`capture_begin`] / [`capture_end`] API, summarized
+//! into per-category sim-time totals ([`TraceData::summary`]), and exported
+//! as Chrome trace-event JSON ([`TraceData::to_chrome_json`]) loadable in
+//! Perfetto or `chrome://tracing`.
 //!
 //! Capture is thread-local because a sweep worker runs one single-threaded
 //! simulation at a time: everything a job's world emits lands in that
@@ -21,25 +16,11 @@
 //! capture pays one branch per instrumented operation and allocates nothing.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::collections::BTreeMap;
 
 use serde::Value;
 
 use crate::time::SimTime;
-
-/// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Category tag (e.g. "nic", "mpi", "flow").
-    pub category: &'static str,
-    /// Human-readable description.
-    pub label: String,
-}
-
-// --------------------------------------------------------------- typed spans
 
 /// What kind of activity a [`Span`] measures.
 ///
@@ -294,59 +275,6 @@ pub fn capture_end() -> Option<TraceData> {
     })
 }
 
-/// A capture lifted off its thread, to be re-installed later (possibly on a
-/// different thread) with [`capture_resume`].
-///
-/// The parallel mode ([`crate::pdes`]) runs several shard simulations
-/// interleaved on worker threads; each shard owns one suspended capture and
-/// resumes it for exactly its own epoch slices, so shards never mix spans
-/// even when they share a thread. `Send` because spans hold only owned data.
-pub struct SuspendedCapture(Option<CaptureState>);
-
-impl SuspendedCapture {
-    /// Consume the suspension and yield the spans captured so far (`None`
-    /// if nothing was ever captured).
-    pub fn into_data(self) -> Option<TraceData> {
-        self.0.map(|st| TraceData {
-            spans: st.spans,
-            dropped: st.dropped,
-        })
-    }
-}
-
-/// Lift this thread's active capture (if any) off the thread, leaving
-/// capture inactive. Pair with [`capture_resume`].
-pub fn capture_suspend() -> SuspendedCapture {
-    CAPTURE_ACTIVE.with(|a| a.set(false));
-    SuspendedCapture(CAPTURE.with(|c| c.borrow_mut().take()))
-}
-
-/// Re-install a suspended capture on this thread (replacing any capture in
-/// progress). A `SuspendedCapture` holding nothing leaves capture inactive.
-pub fn capture_resume(s: SuspendedCapture) {
-    let active = s.0.is_some();
-    CAPTURE.with(|c| *c.borrow_mut() = s.0);
-    CAPTURE_ACTIVE.with(|a| a.set(active));
-}
-
-/// Append already-collected spans into this thread's active capture (no-op
-/// when capture is inactive). Used to merge per-shard parallel captures back
-/// into the owning job's capture in deterministic shard order.
-pub fn capture_absorb(data: TraceData) {
-    CAPTURE.with(|c| {
-        if let Some(st) = c.borrow_mut().as_mut() {
-            for span in data.spans {
-                if st.spans.len() >= st.limit {
-                    st.dropped += 1;
-                } else {
-                    st.spans.push(span);
-                }
-            }
-            st.dropped += data.dropped;
-        }
-    });
-}
-
 /// Record a completed span into this thread's active capture (no-op when
 /// capture is inactive).
 ///
@@ -387,121 +315,6 @@ pub fn span(
     });
 }
 
-// ------------------------------------------------------- legacy ring buffer
-
-struct TracerInner {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    enabled: bool,
-    dropped: u64,
-}
-
-/// A shared, bounded trace buffer.
-#[derive(Clone)]
-pub struct Tracer {
-    inner: Rc<RefCell<TracerInner>>,
-}
-
-impl Tracer {
-    /// A tracer retaining the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Tracer {
-        Tracer {
-            inner: Rc::new(RefCell::new(TracerInner {
-                events: VecDeque::with_capacity(capacity.min(4096)),
-                capacity: capacity.max(1),
-                enabled: true,
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// A disabled tracer: records are discarded without cost.
-    pub fn disabled() -> Tracer {
-        let t = Tracer::new(1);
-        t.inner.borrow_mut().enabled = false;
-        t
-    }
-
-    /// Is recording active?
-    pub fn is_enabled(&self) -> bool {
-        self.inner.borrow().enabled
-    }
-
-    /// Enable/disable recording.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.borrow_mut().enabled = on;
-    }
-
-    /// Record an event (lazily formatted: the closure only runs when
-    /// recording is active).
-    pub fn record(&self, time: SimTime, category: &'static str, label: impl FnOnce() -> String) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        let label = label();
-        inner.events.push_back(TraceEvent {
-            time,
-            category,
-            label,
-        });
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted due to capacity.
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-
-    /// Snapshot of retained events, oldest first, optionally filtered by
-    /// category.
-    pub fn events(&self, category: Option<&str>) -> Vec<TraceEvent> {
-        self.inner
-            .borrow()
-            .events
-            .iter()
-            .filter(|e| category.is_none_or(|c| e.category == c))
-            .cloned()
-            .collect()
-    }
-
-    /// Text dump, one event per line.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for e in self.inner.borrow().events.iter() {
-            out.push_str(&format!(
-                "[{:>14}] {:>6}  {}\n",
-                format!("{}", e.time),
-                e.category,
-                e.label
-            ));
-        }
-        let dropped = self.inner.borrow().dropped;
-        if dropped > 0 {
-            out.push_str(&format!("({dropped} earlier events dropped)\n"));
-        }
-        out
-    }
-
-    /// Clear all retained events (keeps the drop counter).
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,70 +322,6 @@ mod tests {
     fn t(ps: u64) -> SimTime {
         SimTime::from_ps(ps)
     }
-
-    #[test]
-    fn records_in_order_and_filters() {
-        let tr = Tracer::new(16);
-        tr.record(t(10), "nic", || "inject".into());
-        tr.record(t(20), "mpi", || "send".into());
-        tr.record(t(30), "nic", || "deliver".into());
-        assert_eq!(tr.len(), 3);
-        let nic = tr.events(Some("nic"));
-        assert_eq!(nic.len(), 2);
-        assert_eq!(nic[0].label, "inject");
-        assert_eq!(nic[1].time, t(30));
-        assert_eq!(tr.events(None).len(), 3);
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let tr = Tracer::new(3);
-        for i in 0..5u64 {
-            tr.record(t(i), "x", || format!("e{i}"));
-        }
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.dropped(), 2);
-        let ev = tr.events(None);
-        assert_eq!(ev[0].label, "e2");
-        assert_eq!(ev[2].label, "e4");
-        assert!(tr.dump().contains("2 earlier events dropped"));
-    }
-
-    #[test]
-    fn disabled_tracer_skips_formatting() {
-        let tr = Tracer::disabled();
-        let mut formatted = false;
-        tr.record(t(1), "x", || {
-            formatted = true;
-            "never".into()
-        });
-        assert!(!formatted);
-        assert!(tr.is_empty());
-        tr.set_enabled(true);
-        tr.record(t(2), "x", || "now".into());
-        assert_eq!(tr.len(), 1);
-    }
-
-    #[test]
-    fn dump_formats_lines() {
-        let tr = Tracer::new(4);
-        tr.record(t(1_000_000), "mpi", || "allreduce enter".into());
-        let d = tr.dump();
-        assert!(d.contains("mpi"));
-        assert!(d.contains("allreduce enter"));
-    }
-
-    #[test]
-    fn clear_retains_drop_count() {
-        let tr = Tracer::new(1);
-        tr.record(t(1), "x", || "a".into());
-        tr.record(t(2), "x", || "b".into());
-        tr.clear();
-        assert!(tr.is_empty());
-        assert_eq!(tr.dropped(), 1);
-    }
-
-    // ------------------------------------------------------- typed capture
 
     fn mk_span(cat: SpanCategory, name: &'static str, rank: u32, a: u64, b: u64) -> Span {
         Span {
@@ -658,33 +407,6 @@ mod tests {
         let args = ev["args"].as_object().unwrap();
         assert_eq!(args["bytes"].as_f64(), Some(4096.0));
         assert_eq!(args["node"].as_i64(), Some(3));
-    }
-
-    #[test]
-    fn suspend_resume_keeps_spans_and_absorb_merges() {
-        capture_begin();
-        emit_span(mk_span(SpanCategory::Compute, "a", 0, 0, 10));
-        let lifted = capture_suspend();
-        assert!(!capture_active());
-        // Emissions while suspended are dropped.
-        emit_span(mk_span(SpanCategory::Compute, "lost", 0, 0, 10));
-        capture_resume(lifted);
-        assert!(capture_active());
-        emit_span(mk_span(SpanCategory::Compute, "b", 0, 10, 20));
-        capture_absorb(TraceData {
-            spans: vec![mk_span(SpanCategory::P2p, "c", 1, 0, 5)],
-            dropped: 2,
-        });
-        let data = capture_end().unwrap();
-        let names: Vec<_> = data.spans.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert_eq!(data.dropped, 2);
-        // A suspended capture converts straight into data too.
-        capture_begin();
-        emit_span(mk_span(SpanCategory::Io, "d", 0, 0, 1));
-        let d = capture_suspend().into_data().unwrap();
-        assert_eq!(d.spans.len(), 1);
-        assert!(capture_suspend().into_data().is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         summary: "iterating HashMap/HashSet in sim crates",
         rationale: "HashMap/HashSet iteration order depends on RandomState, so any sim \
 result derived from it differs run to run — breaking the byte-identical goldens and the \
-serial-vs-PDES differential check. Use BTreeMap/BTreeSet or sort before iterating.",
+serial-vs-parallel sweep identity. Use BTreeMap/BTreeSet or sort before iterating.",
         example: "for (k, v) in &self.flows { ... }   // flows: HashMap<_, _>",
         suppression: "// xtsim-lint: allow(nondet-map-iter, \"order-insensitive fold\")",
     },
@@ -87,9 +87,9 @@ decision.",
         rule: rule_id::THREAD_SHARED_MUT,
         severity: "warn",
         summary: "static mut or non-Sync shared state in threaded code",
-        rationale: "The PDES engine and serve pool are the only sanctioned threading; \
-shared mutable statics bypass their synchronization and the differential harness can't \
-catch the race deterministically.",
+        rationale: "The sweep worker pool and the serve pool are the only sanctioned \
+threading; shared mutable statics bypass their synchronization and no test can catch the \
+race deterministically.",
         example: "static mut COUNTER: u64 = 0;",
         suppression: "// xtsim-lint: allow(thread-shared-mut, \"single-threaded init\")",
     },
@@ -152,8 +152,8 @@ fix/annotate the panic site (its own allow un-seeds the chain)",
         severity: "warn",
         summary: "std sync lock/Condvar wait reachable from fn poll",
         rationale: "The DES executor is single-threaded cooperative: a poll body that \
-blocks on a std Mutex/Condvar (directly or transitively) stalls every other task and can \
-deadlock against the PDES worker threads. Waits belong in the event scheduler.",
+blocks on a std Mutex/Condvar (directly or transitively) stalls every other task on its \
+thread. Waits belong in the event scheduler.",
         example: "fn poll(...) -> Poll<()> { let g = self.shared.lock().unwrap(); ... }",
         suppression: "// xtsim-lint: allow(blocking-in-poll, \"bounded: ...\") on the \
 blocking site or the poll fn",

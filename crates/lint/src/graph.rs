@@ -6,7 +6,7 @@
 //! counted as external (std/closure calls) or recorded in
 //! [`CallGraph::unresolved`], never guessed. Method names that collide with
 //! ubiquitous std methods (`clone`, `insert`, `lock`, …) are never resolved
-//! unqualified; qualified calls (`PoisonBarrier::wait`) still resolve.
+//! unqualified; qualified calls (`DiskCache::load`) still resolve.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -73,11 +73,12 @@ const STD_METHOD_COLLISIONS: [&str; 66] = [
     "remove", "send", "sort", "split", "starts_with", "sum", "take",
 ];
 
-/// Also never resolved unqualified: std sync/IO verbs whose workspace
-/// namesakes (e.g. `PoisonBarrier::wait`) are reachable via qualified paths.
-const STD_SYNC_COLLISIONS: [&str; 10] = [
-    "notify_all", "notify_one", "replace", "set", "swap", "to_string", "truncate", "unwrap",
-    "wait", "write",
+/// Also never resolved unqualified: std sync/IO verbs, such as the atomics'
+/// `load`/`store`, whose workspace namesakes (e.g. `DiskCache::load`,
+/// `SimBarrier::wait`) are reachable via qualified paths.
+const STD_SYNC_COLLISIONS: [&str; 12] = [
+    "load", "notify_all", "notify_one", "replace", "set", "store", "swap", "to_string",
+    "truncate", "unwrap", "wait", "write",
 ];
 
 fn is_std_collision(name: &str) -> bool {
@@ -308,6 +309,19 @@ mod tests {
         assert_eq!(g.denylisted_method_calls, 2);
         // …but the qualified path still resolves.
         assert_eq!(edge_names(&g, "q"), vec!["M::wait"]);
+    }
+
+    #[test]
+    fn atomic_load_never_resolves_to_a_workspace_load() {
+        let g = graph_of(&[
+            ("cache.rs", "pub struct Cache; impl Cache { pub fn load(&self) {} }"),
+            (
+                "metrics.rs",
+                "fn get(x: &std::sync::atomic::AtomicU64) -> u64 { x.load(Ordering::Relaxed) }",
+            ),
+        ]);
+        assert!(edge_names(&g, "get").is_empty());
+        assert_eq!(g.denylisted_method_calls, 1);
     }
 
     #[test]

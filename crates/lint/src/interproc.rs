@@ -293,37 +293,42 @@ enum LHop {
     Via { line: u32, callee: usize },
 }
 
-/// Memoized DFS: every lock key acquired by `i` or anything it calls.
-/// On-stack callees contribute nothing (call-graph cycles), which
-/// under-approximates — documented in EXPERIMENTS.md.
-fn trans_locks(
-    g: &CallGraph,
-    i: usize,
-    memo: &mut Vec<Option<BTreeMap<String, LHop>>>,
-    on_stack: &mut Vec<bool>,
-) -> BTreeMap<String, LHop> {
-    if let Some(m) = &memo[i] {
-        return m.clone();
-    }
-    if on_stack[i] {
-        return BTreeMap::new();
-    }
-    on_stack[i] = true;
-    let mut m: BTreeMap<String, LHop> = BTreeMap::new();
-    for a in &g.fns[i].locks {
-        if !a.allowed {
-            m.entry(a.key.clone()).or_insert(LHop::Local { line: a.line });
+/// Every lock key each function acquires itself or through anything it
+/// calls: a least fixpoint. Each function starts from its own acquisitions,
+/// then every round unions in the sets its callees had after the previous
+/// round, until nothing changes. The result does not depend on declaration
+/// order (all members of a call-graph cycle end with the same keys), and
+/// each key's first hop is the first call edge on a shortest path to an
+/// acquisition, so witness chains always end at one.
+fn trans_locks(g: &CallGraph) -> Vec<BTreeMap<String, LHop>> {
+    let mut sets: Vec<BTreeMap<String, LHop>> = g
+        .fns
+        .iter()
+        .map(|f| {
+            let mut m = BTreeMap::new();
+            for a in f.locks.iter().filter(|a| !a.allowed) {
+                m.entry(a.key.clone()).or_insert(LHop::Local { line: a.line });
+            }
+            m
+        })
+        .collect();
+    loop {
+        let prev = sets.clone();
+        let mut grew = false;
+        for (i, es) in g.edges.iter().enumerate() {
+            for e in es {
+                for k in prev[e.to].keys() {
+                    if !sets[i].contains_key(k) {
+                        sets[i].insert(k.clone(), LHop::Via { line: e.line, callee: e.to });
+                        grew = true;
+                    }
+                }
+            }
+        }
+        if !grew {
+            return sets;
         }
     }
-    for e in &g.edges[i].clone() {
-        let sub = trans_locks(g, e.to, memo, on_stack);
-        for k in sub.into_keys() {
-            m.entry(k).or_insert(LHop::Via { line: e.line, callee: e.to });
-        }
-    }
-    on_stack[i] = false;
-    memo[i] = Some(m.clone());
-    m
 }
 
 /// Chain from `start`'s body to where `key` is finally acquired.
@@ -331,12 +336,12 @@ fn lock_chain(
     g: &CallGraph,
     start: usize,
     key: &str,
-    memo: &[Option<BTreeMap<String, LHop>>],
+    sets: &[BTreeMap<String, LHop>],
 ) -> Vec<ChainHop> {
     let mut hops = Vec::new();
     let mut cur = start;
-    while let Some(Some(m)) = memo.get(cur) {
-        match m.get(key) {
+    loop {
+        match sets[cur].get(key) {
             Some(LHop::Local { line }) => {
                 hops.push(ChainHop {
                     function: g.fns[cur].display(),
@@ -374,12 +379,7 @@ struct Witness {
 }
 
 fn lock_order_cycle(g: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
-    let n = g.fns.len();
-    let mut memo: Vec<Option<BTreeMap<String, LHop>>> = vec![None; n];
-    let mut on_stack = vec![false; n];
-    for i in 0..n {
-        trans_locks(g, i, &mut memo, &mut on_stack);
-    }
+    let sets = trans_locks(g);
 
     // Acquisition-order edges, first witness kept per ordered key pair.
     let mut ledges: BTreeMap<(String, String), Witness> = BTreeMap::new();
@@ -403,15 +403,13 @@ fn lock_order_cycle(g: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
             }
             for e in &g.edges[i] {
                 if e.tok > a.tok && e.tok < a.scope_end {
-                    if let Some(Some(sub)) = memo.get(e.to) {
-                        for k in sub.keys() {
-                            ledges.entry((a.key.clone(), k.clone())).or_insert(Witness {
-                                fn_idx: i,
-                                first_line: a.line,
-                                second_line: e.line,
-                                via: Some(e.to),
-                            });
-                        }
+                    for k in sets[e.to].keys() {
+                        ledges.entry((a.key.clone(), k.clone())).or_insert(Witness {
+                            fn_idx: i,
+                            first_line: a.line,
+                            second_line: e.line,
+                            via: Some(e.to),
+                        });
                     }
                 }
             }
@@ -471,7 +469,7 @@ fn lock_order_cycle(g: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
             let how = match w.via {
                 None => format!("acquires `{kb}` ({}:{})", f.file, w.second_line),
                 Some(callee) => {
-                    let sub_chain = lock_chain(g, callee, kb, &memo);
+                    let sub_chain = lock_chain(g, callee, kb, &sets);
                     format!(
                         "acquires `{kb}` via call ({}:{}) -> {}",
                         f.file,
@@ -499,7 +497,7 @@ fn lock_order_cycle(g: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
                     line: w.second_line,
                 });
                 if let Some(callee) = w.via {
-                    chain.extend(lock_chain(g, callee, kb, &memo));
+                    chain.extend(lock_chain(g, callee, kb, &sets));
                 }
             }
         }
@@ -521,5 +519,43 @@ fn lock_order_cycle(g: &CallGraph, cfg: &Config, out: &mut Vec<Finding>) {
                 .to_string(),
             chain,
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_file;
+    use crate::rules::FileContext;
+
+    fn lock_findings(files: &[(&str, &str)]) -> Vec<String> {
+        let cfg = Config::parse("[lint]\n").unwrap();
+        let mut decls = Vec::new();
+        for (path, src) in files {
+            decls.extend(parse_file(&FileContext::new(path, src, &cfg)));
+        }
+        let g = crate::graph::build(decls);
+        run_interproc(&g, &cfg)
+            .iter()
+            .map(|f| format!("{}:{} {}", f.file, f.line, f.message))
+            .collect()
+    }
+
+    #[test]
+    fn lock_sets_do_not_depend_on_declaration_order() {
+        // `f1` and `f2x` call each other; `holds_a` reaches `f1`'s lock of
+        // B through `f2x` while holding A, and `holds_b` takes B then A.
+        let locks = (
+            "src/locks.rs",
+            "fn f1() { B.lock(); f2x(); }\n\
+             fn holds_a() { let _g = A.lock(); f2x(); }\n\
+             fn holds_b() { let _g = B.lock(); A.lock(); }\n",
+        );
+        let calls = ("src/calls.rs", "fn f2x() { f1(); }\n");
+        let f2x_first = lock_findings(&[calls, locks]);
+        let f1_first = lock_findings(&[locks, calls]);
+        assert_eq!(f2x_first.len(), 1, "{f2x_first:?}");
+        assert!(f2x_first[0].contains("lock acquisition-order cycle"), "{f2x_first:?}");
+        assert_eq!(f1_first, f2x_first);
     }
 }

@@ -895,7 +895,7 @@ fn t(a: &std::sync::Mutex<u32>, b: &std::sync::Mutex<u32>) {
 
     #[test]
     fn file_module_paths() {
-        assert_eq!(file_module("crates/des/src/pdes.rs"), vec!["des", "pdes"]);
+        assert_eq!(file_module("crates/des/src/fluid.rs"), vec!["des", "fluid"]);
         assert_eq!(file_module("crates/des/src/lib.rs"), vec!["des"]);
         assert_eq!(file_module("src/lib.rs"), vec!["src"]);
         assert_eq!(file_module("crates/core/src/cache.rs"), vec!["core", "cache"]);

@@ -971,16 +971,16 @@ fn unsafe_without_safety_comment(ctx: &FileContext, cfg: &Config, out: &mut Vec<
 // thread-shared-mut
 
 /// Interior-mutability / shared-ownership types that are not `Sync`: a
-/// global of such a type is exactly the state the parallel DES mode must
-/// not share across shards.
+/// global of such a type is exactly the state that sweep jobs running on
+/// different worker threads must not share.
 const NON_SYNC_TYPES: [&str; 4] = ["RefCell", "Cell", "UnsafeCell", "Rc"];
 
 /// Flag `static mut` items and non-`Sync` `static` globals in simulator
-/// crates. The parallel engine runs one world per worker thread; any
-/// process-global mutable state would couple shards and break both memory
-/// safety (for `static mut`) and partition invariance. `thread_local!`
+/// crates. The sweep pool runs one job's world per worker thread; any
+/// process-global mutable state would couple concurrent jobs and break both
+/// memory safety (for `static mut`) and determinism. `thread_local!`
 /// statics are exempt — per-thread state is the sanctioned pattern (trace
-/// capture, sweep knobs).
+/// capture).
 fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
     if !cfg.is_sim_crate(ctx.path) || cfg.rule_allows(rule_id::THREAD_SHARED_MUT, ctx.path) {
         return;
@@ -1007,9 +1007,12 @@ fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                 rule_id::THREAD_SHARED_MUT,
                 Severity::Error,
                 format!(
-                    "`static mut {name}` in a simulator crate; the parallel DES mode runs                      shards on worker threads, and writable process globals are a data race                      and a determinism leak"
+                    "`static mut {name}` in a simulator crate; sweep workers run jobs on \
+                     parallel threads, and writable process globals are a data race and a \
+                     determinism leak"
                 ),
-                "move the state into the Sim world (Rc/RefCell inside one shard), use                  thread_local!, or an atomic with documented ordering",
+                "move the state into the Sim world (Rc/RefCell inside one job's world), use \
+                 thread_local!, or an atomic with documented ordering",
             ));
             continue;
         }
@@ -1026,9 +1029,12 @@ fn thread_shared_mut(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                         rule_id::THREAD_SHARED_MUT,
                         Severity::Error,
                         format!(
-                            "global `static {name}` has a non-Sync type                              (Cell/RefCell/Rc/UnsafeCell); shards on different worker                              threads must not share interior-mutable state"
+                            "global `static {name}` has a non-Sync type \
+                             (Cell/RefCell/Rc/UnsafeCell); jobs on different worker threads \
+                             must not share interior-mutable state"
                         ),
-                        "wrap per-thread state in thread_local!, or keep it inside the                          shard's Sim world",
+                        "wrap per-thread state in thread_local!, or keep it inside the job's \
+                         Sim world",
                     ));
                 }
             }

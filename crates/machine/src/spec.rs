@@ -183,23 +183,6 @@ impl MachineSpec {
         node_gb / self.ranks_per_node(mode) as f64
     }
 
-    /// One-way latency of the smallest possible cross-node message in
-    /// `mode`, in seconds: per-message software overhead plus a single
-    /// router hop carrying zero payload. No internode message can complete
-    /// faster, which makes this the machine-derived bound the conservative
-    /// parallel-DES mode builds its lookahead from (`xtsim-net`'s analytic
-    /// layer divides it between the send and release legs of its
-    /// collectives).
-    pub fn min_remote_latency_s(&self, mode: ExecMode) -> f64 {
-        let n = &self.nic;
-        let overhead_us = n.sw_overhead_us
-            + match mode {
-                ExecMode::SN => 0.0,
-                ExecMode::VN => n.vn_extra_overhead_us,
-            };
-        overhead_us * 1e-6 + n.per_hop_ns * 1e-9
-    }
-
     /// Validate internal consistency; returns a list of problems (empty = ok).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -290,19 +273,6 @@ mod tests {
         };
         assert_eq!(p.core_peak_flops(), 5.0e9);
         assert_eq!(p.socket_peak_flops(), 1.0e10);
-    }
-
-    #[test]
-    fn min_remote_latency_orders_modes() {
-        let xt4 = presets::xt4();
-        let sn = xt4.min_remote_latency_s(ExecMode::SN);
-        let vn = xt4.min_remote_latency_s(ExecMode::VN);
-        assert!(sn > 0.0);
-        // VN adds NIC-sharing overhead, so its floor is at least SN's.
-        assert!(vn >= sn);
-        // The floor is the zero-byte, one-hop message.
-        let n = &xt4.nic;
-        assert!((sn - (n.sw_overhead_us * 1e-6 + n.per_hop_ns * 1e-9)).abs() < 1e-15);
     }
 
     #[test]

@@ -31,11 +31,9 @@ mod comm;
 mod gate;
 mod message;
 mod profile;
-pub mod sharded;
 mod world;
 
 pub use comm::Comm;
-pub use sharded::{simulate_sharded, ShardedConfig, ShardedMpi, ShardedOutcome};
 pub use message::{Message, ReduceOp};
 pub use profile::{JobProfile, RankProfile};
 pub use world::{

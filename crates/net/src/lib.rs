@@ -9,10 +9,8 @@
 
 #![warn(missing_docs)]
 
-pub mod analytic;
 mod platform;
 pub mod torus;
 
-pub use analytic::{AnalyticNet, CollectiveShape};
 pub use platform::{ContentionModel, Placement, Platform, PlatformConfig, Rank, TrafficStats};
 pub use torus::{Direction, NodeId, Torus3D, TorusLink};

@@ -44,7 +44,7 @@ fn queue_metrics() -> &'static QueueMetrics {
     })
 }
 
-/// One scenario request: which figure, at what scale, with what engine knobs.
+/// One scenario request: which figure, at what scale, on how many workers.
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     /// Figure or ablation id, e.g. `"fig02"` (validated before submit).
@@ -53,8 +53,6 @@ pub struct RunRequest {
     pub scale: Scale,
     /// Sweep worker threads for this run.
     pub jobs: usize,
-    /// DES worker-thread budget advertised to each job.
-    pub des_threads: usize,
 }
 
 /// Lifecycle of a submitted run.
@@ -355,7 +353,7 @@ mod tests {
     }
 
     fn req(figure: &str) -> RunRequest {
-        RunRequest { figure: figure.into(), scale: Scale::Quick, jobs: 1, des_threads: 1 }
+        RunRequest { figure: figure.into(), scale: Scale::Quick, jobs: 1 }
     }
 
     #[test]

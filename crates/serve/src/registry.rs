@@ -70,10 +70,16 @@ impl Registry {
     /// missing file is an empty registry, not an error.
     pub fn replay(&self) -> Replay {
         let mut out = Replay::default();
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
+        let Ok(bytes) = std::fs::read(&self.path) else {
             return out;
         };
-        for line in text.lines() {
+        // Split bytes, not text: an invalid UTF-8 byte (a write torn inside
+        // a multi-byte character) must cost only its own line.
+        for raw in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(raw) else {
+                out.skipped += 1;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -101,7 +107,6 @@ pub fn make_record(rec: &RunRecord, finished_unix: f64) -> Value {
     params.insert("figure".into(), rec.request.figure.as_str().into());
     params.insert("scale".into(), rec.request.scale.label().into());
     params.insert("jobs".into(), rec.request.jobs.into());
-    params.insert("des_threads".into(), rec.request.des_threads.into());
     m.insert("params".into(), Value::Object(params));
     m.insert("outcome".into(), rec.status.label().into());
     // Queue timing (absent on records from before these fields existed;
@@ -147,7 +152,6 @@ mod tests {
                     figure: figure.into(),
                     scale: Scale::Quick,
                     jobs: 2,
-                    des_threads: 1,
                 },
                 status: RunStatus::Done,
                 output: Some(RunOutput {
@@ -234,6 +238,26 @@ mod tests {
         let replay = reg.replay();
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.skipped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_skips_invalid_utf8_lines_only() {
+        let dir = std::env::temp_dir().join(format!("xtsim-registry-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        reg.append(&record(1, "fig02", 1.0)).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(reg.path()).unwrap();
+        f.write_all(b"\xff\xfe\n").unwrap();
+        drop(f);
+        reg.append(&record(2, "fig12", 2.0)).unwrap();
+        // A record torn inside the two-byte UTF-8 encoding of `é`.
+        let mut f = std::fs::OpenOptions::new().append(true).open(reg.path()).unwrap();
+        f.write_all(b"{\"figure\":\"caf\xc3").unwrap();
+        drop(f);
+        let replay = reg.replay();
+        assert_eq!(replay.records.len(), 2);
+        assert_eq!(replay.skipped, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

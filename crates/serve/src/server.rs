@@ -63,7 +63,7 @@ pub fn unix_now() -> f64 {
 /// exactly as the `figures` CLI does, then append the outcome to the
 /// registry. The result JSON is `serde_json::to_string_pretty` of the
 /// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
-/// `<id>.json` artifact for the same (figure, scale, des-threads).
+/// `<id>.json` artifact for the same (figure, scale).
 pub fn figure_executor(
     cache_dir: Option<PathBuf>,
     cache_mem_cap: u64,
@@ -75,9 +75,7 @@ pub fn figure_executor(
                 .into_iter()
                 .find(|f| f.id == req.figure)
                 .ok_or_else(|| format!("unknown figure id: {}", req.figure))?;
-            let mut cfg = SweepConfig::threads(req.jobs)
-                .with_des_threads(req.des_threads)
-                .with_metrics();
+            let mut cfg = SweepConfig::threads(req.jobs).with_metrics();
             if let Some(dir) = &cache_dir {
                 // The memory hot tier is process-wide per cache directory,
                 // so every run (and every concurrent client) shares it; the
@@ -157,7 +155,6 @@ fn run_envelope(rec: &RunRecord) -> Value {
         ("figure", rec.request.figure.as_str().into()),
         ("scale", rec.request.scale.label().into()),
         ("jobs", rec.request.jobs.into()),
-        ("des_threads", rec.request.des_threads.into()),
         ("status", rec.status.label().into()),
     ];
     if let Some(w) = rec.wait_secs {
@@ -208,18 +205,14 @@ fn parse_run_request(body: &[u8], default_jobs: usize) -> Result<RunRequest, Res
             .and_then(parse_scale)
             .ok_or_else(|| Response::error(400, "\"scale\" must be \"quick\" or \"full\""))?,
     };
-    let positive = |name: &str, default: usize| -> Result<usize, Response> {
-        match o.get(name) {
-            None | Some(Value::Null) => Ok(default),
-            Some(v) => match v.as_i64() {
-                Some(n) if n >= 1 => Ok(n as usize),
-                _ => Err(Response::error(400, &format!("\"{name}\" must be a positive integer"))),
-            },
-        }
+    let jobs = match o.get("jobs") {
+        None | Some(Value::Null) => default_jobs,
+        Some(v) => match v.as_i64() {
+            Some(n) if n >= 1 => n as usize,
+            _ => return Err(Response::error(400, "\"jobs\" must be a positive integer")),
+        },
     };
-    let jobs = positive("jobs", default_jobs)?;
-    let des_threads = positive("des_threads", 1)?;
-    Ok(RunRequest { figure, scale, jobs, des_threads })
+    Ok(RunRequest { figure, scale, jobs })
 }
 
 /// Normalized route pattern for metric labels: path parameters collapse to
@@ -516,9 +509,8 @@ mod tests {
         let env = body_json(&resp);
         assert_eq!(field(&env, "status").as_str(), Some("done"));
         assert_eq!(field(&env, "figure").as_str(), Some("fig02"));
-        // Defaults applied: jobs from state, des_threads 1, scale quick.
+        // Defaults applied: jobs from state, scale quick.
         assert_eq!(field(&env, "jobs").as_i64(), Some(2));
-        assert_eq!(field(&env, "des_threads").as_i64(), Some(1));
         assert_eq!(field(&env, "scale").as_str(), Some("quick"));
         // Queue timing surfaces on the envelope once the run has run.
         assert!(field(&env, "wait_secs").as_f64().unwrap() >= 0.0);
@@ -551,11 +543,13 @@ mod tests {
             "{}",                                   // missing figure
             "{\"figure\": \"fig02\", \"scale\": \"huge\"}",
             "{\"figure\": \"fig02\", \"jobs\": 0}",
-            "{\"figure\": \"fig02\", \"des_threads\": -1}",
         ] {
             let resp = handle(&post("/runs", body), &state);
             assert_eq!(resp.status, 400, "body {body:?} must be rejected");
         }
+        // Unknown keys are ignored, so bodies from older clients still run.
+        let body = "{\"figure\": \"fig02\", \"threads\": -1}";
+        assert_eq!(handle(&post("/runs", body), &state).status, 202);
         assert_eq!(handle(&get("/runs/999"), &state).status, 404);
         assert_eq!(handle(&get("/nope"), &state).status, 404);
         let del = Request {

@@ -101,27 +101,13 @@ echo "== tests =="
 # offline compat shims).
 cargo test --workspace -q
 
-echo "== golden figures with DES_THREADS=4 (parallel engine, same goldens) =="
-# The golden gate runs serially as part of the workspace tests above; this
-# second pass proves the committed goldens are also what the conservative
-# parallel DES engine produces.
-DES_THREADS=4 cargo test -q --test golden_figures
-
-echo "== figures smoke (quick scale, cache off, serial vs --des-threads 4) =="
+echo "== figures smoke (quick scale, cache off) =="
 out="$(mktemp -d)"
 cargo run --release -p xtsim-bench --bin figures -- \
-    --all --quick --no-cache --jobs 4 --out "$out/serial" >/dev/null
-for id in table1 fig01 fig12 fig23 fig24; do
-    test -s "$out/serial/$id.json" || { echo "missing $id.json"; exit 1; }
+    --all --quick --no-cache --jobs 4 --out "$out" >/dev/null
+for id in table1 fig01 fig12 fig23; do
+    test -s "$out/$id.json" || { echo "missing $id.json"; exit 1; }
 done
-cargo run --release -p xtsim-bench --bin figures -- \
-    --all --quick --no-cache --jobs 4 --des-threads 4 --out "$out/pdes" >/dev/null
-# Byte-identity of every artifact: the DES thread count must never show up
-# in a published number (tests/pdes_equivalence.rs holds the same line at
-# event-log granularity).
-diff -r "$out/serial" "$out/pdes" || {
-    echo "figures output differs between serial and --des-threads 4"; exit 1;
-}
 rm -rf "$out"
 
 echo "== trace/metrics export smoke =="
@@ -153,10 +139,10 @@ if cargo run --release -p xtsim-bench --bin figures -- \
     echo "figures --only figZZ must exit nonzero"; exit 1
 fi
 
-echo "== CLI numeric validation (bad tokens exit 2 and name the token) =="
+echo "== CLI validation (bad tokens and missing values exit 2 and name them) =="
 # Both binaries share xtsim::cli parsing: an unparsable count or byte size
 # must exit 2 and quote the offending token, never panic or silently
-# default.
+# default. A flag given without its value must exit 2 and name the flag.
 check_bad_token() {
     local desc="$1"; shift
     local token="$1"; shift
@@ -175,6 +161,8 @@ check_bad_token "figures --jobs abc" "abc" \
     target/release/figures --quick --no-cache --jobs abc --out "$(mktemp -d)"
 check_bad_token "figures --cache-mem-cap 12parsecs" "12parsecs" \
     target/release/figures --quick --cache-mem-cap 12parsecs --out "$(mktemp -d)"
+check_bad_token "figures --out (no value)" "--out" \
+    target/release/figures --quick --no-cache --out
 check_bad_token "xtsim-serve --jobs abc" "abc" \
     target/release/xtsim-serve --port 0 --jobs abc
 check_bad_token "xtsim-serve --cache-mem-cap 12parsecs" "12parsecs" \
@@ -255,10 +243,8 @@ for i, (penv, pbody) in enumerate(par):
     open(f"{out}/serve_par_{i}.json", "wb").write(pbody)
     assert penv["cached"] > 0, f"parallel client {i} missed the warm cache: {penv}"
 
-# A PDES-aware figure (fig24 shards its worlds even at one DES thread)
-# exercises the partitioned engine so the epoch counter shows up in the
-# /metrics scrape below.
-env, _ = run_to_completion({"figure": "fig24", "scale": "quick", "jobs": 2, "des_threads": 2})
+# A second figure, cold, so the newest registry record is not fig02's.
+env, _ = run_to_completion({"figure": "fig12", "scale": "quick", "jobs": 2})
 
 # /stats keeps the documented shape.
 stats = json.loads(req("GET", "/stats")[1])
@@ -280,7 +266,7 @@ assert stats["registry"]["skipped"] == 0
 reg = json.loads(req("GET", "/registry")[1])
 assert len(reg["records"]) >= 7
 rec = reg["records"][-1]
-assert rec["schema"] == "xtsim-registry-v1" and rec["figure"] == "fig24"
+assert rec["schema"] == "xtsim-registry-v1" and rec["figure"] == "fig12"
 assert rec["outcome"] == "done" and rec["wall_secs"] > 0
 assert rec["params"]["scale"] == "quick"
 # Queue timing rides along on every new record and the run envelope.
@@ -317,8 +303,6 @@ for line in text.splitlines():
 assert types.get("xtsim_cache_lookups_total") == "counter", types
 assert types.get("xtsim_queue_wait_seconds") == "histogram", types
 assert types.get("xtsim_http_requests_total") == "counter", types
-assert types.get("xtsim_pdes_epochs_total") == "counter", types
-assert samples.get("xtsim_pdes_epochs_total", 0) > 0, "no PDES epochs recorded"
 hits = sum(v for k, v in samples.items()
            if k.startswith("xtsim_cache_lookups_total") and 'result="hit"' in k)
 assert hits > 0, "warm run did not register a cache hit in /metrics"
@@ -395,8 +379,6 @@ for name in (
     "fluid_pool/flows_10k",
     "alltoall_fluid/ranks_256",
     "alltoall_fluid/ranks_1024",
-    "pdes_alltoall/ranks_1024/threads_1",
-    "pdes_alltoall/ranks_1024/threads_4",
     "cache/cold_miss",
     "cache/warm_disk_hit",
     "cache/warm_memory_hit",

@@ -8,35 +8,19 @@
 //!
 //! ```text
 //! cargo run --release -p xtsim-bench --bin figures -- \
-//!     --quick --no-cache --only table1,fig02,fig08,fig12,fig23,fig24 --out tests/goldens
+//!     --quick --no-cache --only table1,fig02,fig08,fig12,fig23 --out tests/goldens
 //! rm tests/goldens/*.csv
 //! ```
 //!
 //! and bump `xtsim::sweep::ENGINE_VERSION` so stale cache entries stop
 //! hitting. Unexplained drift here means simulator semantics changed.
-//!
-//! Parallel DES: the `DES_THREADS` env var reruns the same gate with the
-//! conservative parallel engine under every PDES-aware figure (CI runs it
-//! at 1 and 4). The goldens are shared — thread count must never move a
-//! number.
 
 use serde::Value;
 use xt4_repro::xtsim::figures::figure;
 use xt4_repro::xtsim::report::Scale;
 use xt4_repro::xtsim::sweep::{run_figure, SweepConfig};
 
-const GOLDEN_IDS: [&str; 6] = ["table1", "fig02", "fig08", "fig12", "fig23", "fig24"];
-
-/// DES worker-thread budget for this gate run (`DES_THREADS` env, default
-/// 1). Deliberately NOT part of the golden file names: every budget must
-/// reproduce the same bytes.
-fn des_threads() -> usize {
-    std::env::var("DES_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(1)
-}
+const GOLDEN_IDS: [&str; 5] = ["table1", "fig02", "fig08", "fig12", "fig23"];
 
 /// Relative tolerance for numeric comparison. The engine is deterministic,
 /// so goldens normally match exactly; the headroom only absorbs libm-level
@@ -99,7 +83,7 @@ fn quick_figures_match_goldens() {
             .unwrap_or_else(|e| panic!("missing golden for {id}: {e}"));
         let want: Value = serde_json::from_str(&golden_text)
             .unwrap_or_else(|e| panic!("unparseable golden for {id}: {e:?}"));
-        let cfg = SweepConfig::serial().with_des_threads(des_threads());
+        let cfg = SweepConfig::serial();
         let got = serde_json::to_value(&run_figure(figure(id).expect(id).spec(Scale::Quick), &cfg).0)
             .unwrap();
         if let Err(diff) = compare(id, &got, &want) {

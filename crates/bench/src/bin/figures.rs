@@ -21,16 +21,18 @@
 //! byte-identical for any `--jobs` value, warm or cold, whatever the cap.
 //!
 //! Results are printed and also written to `DIR` (default `results/`) as
-//! `<id>.csv` and `<id>.json`.
+//! `<id>.csv` and `<id>.json`. Output locations are created before the first
+//! figure runs: one that cannot be created exits 2 naming its flag, and a
+//! failed write exits 1 naming the file, never a panic.
 //!
 //! Observability: `--trace DIR` writes one Chrome trace-event JSON file per
 //! *computed* job into `DIR` (load in Perfetto / `chrome://tracing`), and
 //! `--metrics FILE` writes a machine-readable per-figure metrics record
 //! (cache hits/misses, wall-clock, simulated-time breakdown by span
-//! category). Either flag enables trace capture inside the simulations.
+//! category, and each job's cost hint, start offset and wall time). Either
+//! flag enables trace capture inside the simulations.
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use xtsim::ablations::all_ablations;
 use xtsim::cli::{parse_byte_size, parse_positive, parse_scale, select_figures};
@@ -155,6 +157,23 @@ fn make_config(args: &Args) -> SweepConfig {
     cfg
 }
 
+/// Create `dir` for `flag`'s output, or exit 2 naming the flag and the OS
+/// error before any figure has run.
+fn create_output_dir(flag: &str, dir: &Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("{flag}: cannot create directory {}: {e}", dir.display());
+        std::process::exit(2);
+    }
+}
+
+/// Write one output file, or exit 1 naming it and the OS error.
+fn write_output(path: &Path, bytes: &[u8]) {
+    if let Err(e) = std::fs::write(path, bytes) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args = parse_args();
     let mut figures: Vec<Figure> = all_figures();
@@ -176,7 +195,12 @@ fn main() {
             }
         };
     }
-    std::fs::create_dir_all(&args.out).expect("create output directory");
+    create_output_dir("--out", &args.out);
+    if let Some(parent) = args.metrics.as_deref().and_then(Path::parent) {
+        if !parent.as_os_str().is_empty() {
+            create_output_dir("--metrics", parent);
+        }
+    }
     println!(
         "# Cray XT4 evaluation reproduction — regenerating {} figure(s) at {} scale ({} worker{}, cache {})\n",
         figures.len(),
@@ -211,19 +235,9 @@ fn main() {
             all_metrics.push(m);
         }
         let csv_path = args.out.join(format!("{}.csv", fig.id));
-        std::fs::File::create(&csv_path)
-            .and_then(|mut f| f.write_all(result.to_csv().as_bytes()))
-            .expect("write csv");
-        let json_path = args.out.join(format!("{}.json", fig.id));
-        std::fs::File::create(&json_path)
-            .and_then(|mut f| {
-                f.write_all(
-                    serde_json::to_string_pretty(&result)
-                        .expect("serialize")
-                        .as_bytes(),
-                )
-            })
-            .expect("write json");
+        write_output(&csv_path, result.to_csv().as_bytes());
+        let json = serde_json::to_string_pretty(&result).expect("FigureResult serializes");
+        write_output(&args.out.join(format!("{}.json", fig.id)), json.as_bytes());
     }
     if let Some(path) = &args.metrics {
         let record = xtsim::sweep::obj(vec![
@@ -232,11 +246,8 @@ fn main() {
             ("wall_secs", t_all.elapsed().as_secs_f64().into()),
             ("figures", serde_json::to_value(&all_metrics).expect("metrics serialize")),
         ]);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).expect("create metrics directory");
-        }
-        std::fs::write(path, serde_json::to_string_pretty(&record).expect("serialize"))
-            .expect("write metrics");
+        let json = serde_json::to_string_pretty(&record).expect("metrics record serializes");
+        write_output(path, json.as_bytes());
         println!("metrics record written to {}", path.display());
     }
     if let Some(dir) = &args.trace_dir {

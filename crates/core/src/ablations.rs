@@ -2,17 +2,17 @@
 //! go beyond the paper's figures and probe the model's levers directly.
 //!
 //! Like the main registry, every ablation decomposes into sweep-point jobs
-//! (see [`crate::sweep`]); the tweaked machines hash by content, so e.g. an
-//! eager-threshold variant never collides with the stock preset in the cache.
+//! (see [`crate::sweep`]), built by the registry's own job constructors; the
+//! tweaked machines hash by content, so e.g. an eager-threshold variant never
+//! collides with the stock preset in the cache.
 
 use serde::Value;
-use xtsim_apps::{cam, s3d};
-use xtsim_hpcc::{bidir, global, local};
+use xtsim_hpcc::{global, local};
 use xtsim_machine::{presets, ExecMode};
 
-use crate::figures::Figure;
+use crate::figures::{bidir_job, cam_job, global_job, local_job, s3d_job, Figure};
 use crate::report::{FigureResult, Scale, Series};
-use crate::sweep::{num, obj, FigureSpec, JobKey};
+use crate::sweep::{num, FigureSpec};
 
 /// All ablation experiments.
 pub fn all_ablations() -> Vec<Figure> {
@@ -55,18 +55,7 @@ fn eager_threshold(scale: Scale) -> FigureSpec {
         m.nic.eager_threshold_bytes = threshold;
         let mut pts = Vec::new();
         for bytes in [8u64 << 10, 32 << 10, 128 << 10, 512 << 10] {
-            let key = JobKey::new("bidir", Some(&m), Some(ExecMode::SN), scale)
-                .with("pairs", 1usize)
-                .with("bytes", bytes);
-            let m2 = m.clone();
-            let job = spec.push_job(key, move || {
-                let p = bidir::bidir_point(&m2, ExecMode::SN, 1, bytes);
-                obj(vec![
-                    ("bytes", p.bytes.into()),
-                    ("bandwidth_mbs", p.bandwidth_mbs.into()),
-                    ("latency_us", p.latency_us.into()),
-                ])
-            });
+            let job = spec.push(bidir_job(&m, ExecMode::SN, 1, bytes, scale));
             pts.push((bytes as f64, job));
         }
         plans.push((format!("threshold {}KiB", threshold >> 10), pts));
@@ -97,13 +86,7 @@ fn memory_ladder(scale: Scale) -> FigureSpec {
             (local::LocalKernel::StreamTriad, &mut triad_jobs),
             (local::LocalKernel::Fft, &mut fft_jobs),
         ] {
-            let key = JobKey::new("local", Some(m), Some(ExecMode::SN), scale)
-                .with("kernel", kernel.label());
-            let m2 = m.clone();
-            jobs.push(spec.push_job(key, move || {
-                let r = local::local_bench(&m2, ExecMode::SN, kernel);
-                obj(vec![("sp", r.sp.into()), ("ep", r.ep.into())])
-            }));
+            jobs.push(spec.push(local_job(m, ExecMode::SN, kernel, scale)));
         }
     }
     spec.assemble = Box::new(move |outputs: &[Value]| {
@@ -129,23 +112,9 @@ fn quad_core(scale: Scale) -> FigureSpec {
     let mut spec = FigureSpec::new("abl-quadcore", |_| unreachable!());
     let mut rows = Vec::new(); // (cores_per_socket, stream job, s3d job)
     for m in [presets::xt4(), presets::xt4_quad()] {
-        let stream_key = JobKey::new("local", Some(&m), Some(ExecMode::VN), scale)
-            .with("kernel", local::LocalKernel::StreamTriad.label());
-        let m2 = m.clone();
-        let stream_job = spec.push_job(stream_key, move || {
-            let r = local::local_bench(&m2, ExecMode::VN, local::LocalKernel::StreamTriad);
-            obj(vec![("sp", r.sp.into()), ("ep", r.ep.into())])
-        });
-        let s3d_key = JobKey::new("s3d", Some(&m), Some(ExecMode::VN), scale).with("cores", 64usize);
-        let m2 = m.clone();
-        let s3d_job = spec.push_job(s3d_key, move || {
-            let r = s3d::s3d(&m2, ExecMode::VN, 64);
-            obj(vec![
-                ("secs_per_step", r.secs_per_step.into()),
-                ("cost_us_per_point", r.cost_us_per_point.into()),
-            ])
-        });
-        rows.push((m.processor.cores_per_socket as f64, stream_job, s3d_job));
+        let stream = spec.push(local_job(&m, ExecMode::VN, local::LocalKernel::StreamTriad, scale));
+        let s3d = spec.push(s3d_job(&m, 64, scale));
+        rows.push((m.processor.cores_per_socket as f64, stream, s3d));
     }
     spec.assemble = Box::new(move |outputs: &[Value]| {
         let mut fig = FigureResult::new("abl-quadcore", "Quad-core projection")
@@ -171,29 +140,17 @@ fn vn_stack(scale: Scale) -> FigureSpec {
     for extra in [4.2f64, 2.8, 1.4, 0.0] {
         let mut m = presets::xt4();
         m.nic.vn_extra_overhead_us = extra;
-        let key = JobKey::new("global/mpi_ra", Some(&m), Some(ExecMode::VN), scale)
-            .with("sockets", 64usize);
-        let job = spec.push_job(key, move || {
-            let p = global::sweep(&m, ExecMode::VN, &[64], global::mpi_ra).remove(0);
-            obj(vec![
-                ("sockets", p.sockets.into()),
-                ("cores", p.cores.into()),
-                ("value", p.value.into()),
-            ])
-        });
+        let job = spec.push(global_job(&m, ExecMode::VN, "mpi_ra", global::mpi_ra, 64, scale));
         vn_points.push((extra, job));
     }
-    let sn_machine = presets::xt4();
-    let sn_key = JobKey::new("global/mpi_ra", Some(&sn_machine), Some(ExecMode::SN), scale)
-        .with("sockets", 64usize);
-    let sn_job = spec.push_job(sn_key, move || {
-        let p = global::sweep(&sn_machine, ExecMode::SN, &[64], global::mpi_ra).remove(0);
-        obj(vec![
-            ("sockets", p.sockets.into()),
-            ("cores", p.cores.into()),
-            ("value", p.value.into()),
-        ])
-    });
+    let sn_job = spec.push(global_job(
+        &presets::xt4(),
+        ExecMode::SN,
+        "mpi_ra",
+        global::mpi_ra,
+        64,
+        scale,
+    ));
     spec.assemble = Box::new(move |outputs: &[Value]| {
         let mut fig = FigureResult::new("abl-vnstack", "VN software maturity")
             .axes("vn extra overhead (us)", "MPI-RA GUPS at 64 sockets (VN)");
@@ -220,24 +177,10 @@ fn openmp_xt4(scale: Scale) -> FigureSpec {
     let m = presets::xt4();
     let mut rows = Vec::new(); // (procs, mpi-only job, hybrid job)
     for procs in [240usize, 480, 960] {
-        let key = JobKey::new("cam", Some(&m), Some(ExecMode::VN), scale)
-            .with("tasks", procs)
-            .with("threads", 1usize);
-        let m2 = m.clone();
-        let mpi_job = spec.push_job(key, move || match cam::cam(&m2, ExecMode::VN, procs, 1) {
-            None => Value::Null,
-            Some(r) => obj(vec![("years_per_day", r.years_per_day.into())]),
-        });
+        let mpi_job = spec.push(cam_job(&m, ExecMode::VN, procs, 1, scale));
         // 2 threads per task: half the MPI tasks, one rank per node (SN),
         // both cores driven by OpenMP.
-        let key = JobKey::new("cam", Some(&m), Some(ExecMode::SN), scale)
-            .with("tasks", procs / 2)
-            .with("threads", 2usize);
-        let m2 = m.clone();
-        let hybrid_job = spec.push_job(key, move || match cam::cam(&m2, ExecMode::SN, procs / 2, 2) {
-            None => Value::Null,
-            Some(r) => obj(vec![("years_per_day", r.years_per_day.into())]),
-        });
+        let hybrid_job = spec.push(cam_job(&m, ExecMode::SN, procs / 2, 2, scale));
         rows.push((procs as f64, mpi_job, hybrid_job));
     }
     spec.assemble = Box::new(move |outputs: &[Value]| {

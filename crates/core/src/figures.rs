@@ -7,7 +7,8 @@
 //! order** — so the rendered figure is identical whether the jobs ran
 //! serially, on eight threads, or straight out of the result cache.
 //! `Scale::Quick` shrinks the sweeps for CI; `Scale::Full` uses the paper's
-//! ranges.
+//! ranges. Every job carries the number of MPI ranks it simulates as its
+//! dispatch cost hint ([`Job::cost`]).
 
 use serde::Value;
 use xtsim_apps::{aorsa, cam, namd, pop, s3d};
@@ -16,7 +17,7 @@ use xtsim_lustre::{run_ior, IorConfig, LustreConfig};
 use xtsim_machine::{presets, ExecMode, MachineSpec};
 
 use crate::report::{FigureResult, Scale, Series};
-use crate::sweep::{num, obj, FigureSpec, JobKey};
+use crate::sweep::{num, obj, FigureSpec, Job, JobKey};
 
 /// A registered figure generator.
 pub struct Figure {
@@ -92,7 +93,7 @@ struct PlanBuilder {
     id: &'static str,
     title: String,
     axes: (String, String),
-    jobs: Vec<crate::sweep::Job>,
+    jobs: Vec<Job>,
     plan: Vec<SeriesPlan>,
     notes: Vec<String>,
 }
@@ -114,8 +115,8 @@ impl PlanBuilder {
         }
     }
 
-    fn job(&mut self, key: JobKey, run: impl Fn() -> Value + Send + Sync + 'static) -> usize {
-        self.jobs.push(crate::sweep::Job::new(key, run));
+    fn job(&mut self, job: Job) -> usize {
+        self.jobs.push(job);
         self.jobs.len() - 1
     }
 
@@ -154,14 +155,18 @@ impl PlanBuilder {
     }
 }
 
-// ------------------------------------------------------------- job closures
+// --------------------------------------------------------------------- jobs
+//
+// Constructors for the job kinds several figures (and the ablations) build:
+// a kind's key, its output fields and its cost hint live in one place, so
+// equal keys always cache equal outputs.
 
-fn cam_job(m: &MachineSpec, mode: ExecMode, tasks: usize, threads: usize, scale: Scale) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+pub(crate) fn cam_job(m: &MachineSpec, mode: ExecMode, tasks: usize, threads: usize, scale: Scale) -> Job {
     let key = JobKey::new("cam", Some(m), Some(mode), scale)
         .with("tasks", tasks)
         .with("threads", threads);
     let m = m.clone();
-    (key, move || match cam::cam(&m, mode, tasks, threads) {
+    Job::new(key, move || match cam::cam(&m, mode, tasks, threads) {
         None => Value::Null,
         Some(r) => obj(vec![
             ("years_per_day", r.years_per_day.into()),
@@ -170,14 +175,15 @@ fn cam_job(m: &MachineSpec, mode: ExecMode, tasks: usize, threads: usize, scale:
             ("mpi_fraction", r.mpi_fraction.into()),
         ]),
     })
+    .with_cost(tasks)
 }
 
-fn pop_job(m: &MachineSpec, mode: ExecMode, tasks: usize, solver: pop::Solver, scale: Scale) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+fn pop_job(m: &MachineSpec, mode: ExecMode, tasks: usize, solver: pop::Solver, scale: Scale) -> Job {
     let key = JobKey::new("pop", Some(m), Some(mode), scale)
         .with("tasks", tasks)
         .with("solver", format!("{solver:?}"));
     let m = m.clone();
-    (key, move || match pop::pop(&m, mode, tasks, solver) {
+    Job::new(key, move || match pop::pop(&m, mode, tasks, solver) {
         None => Value::Null,
         Some(r) => obj(vec![
             ("years_per_day", r.years_per_day.into()),
@@ -185,23 +191,26 @@ fn pop_job(m: &MachineSpec, mode: ExecMode, tasks: usize, solver: pop::Solver, s
             ("barotropic_secs_per_day", r.barotropic_secs_per_day.into()),
         ]),
     })
+    .with_cost(tasks)
 }
 
-fn local_job(m: &MachineSpec, mode: ExecMode, kernel: local::LocalKernel, scale: Scale) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+pub(crate) fn local_job(m: &MachineSpec, mode: ExecMode, kernel: local::LocalKernel, scale: Scale) -> Job {
     let key = JobKey::new("local", Some(m), Some(mode), scale).with("kernel", kernel.label());
+    let ranks = m.ranks_per_node(mode);
     let m = m.clone();
-    (key, move || {
+    Job::new(key, move || {
         let r = local::local_bench(&m, mode, kernel);
         obj(vec![("sp", r.sp.into()), ("ep", r.ep.into())])
     })
+    .with_cost(ranks)
 }
 
-fn bidir_job(m: &MachineSpec, mode: ExecMode, pairs: usize, bytes: u64, scale: Scale) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+pub(crate) fn bidir_job(m: &MachineSpec, mode: ExecMode, pairs: usize, bytes: u64, scale: Scale) -> Job {
     let key = JobKey::new("bidir", Some(m), Some(mode), scale)
         .with("pairs", pairs)
         .with("bytes", bytes);
     let m = m.clone();
-    (key, move || {
+    Job::new(key, move || {
         let p = bidir::bidir_point(&m, mode, pairs, bytes);
         obj(vec![
             ("bytes", p.bytes.into()),
@@ -209,20 +218,22 @@ fn bidir_job(m: &MachineSpec, mode: ExecMode, pairs: usize, bytes: u64, scale: S
             ("latency_us", p.latency_us.into()),
         ])
     })
+    .with_cost(2 * pairs)
 }
 
-fn global_job(
+pub(crate) fn global_job(
     m: &MachineSpec,
     mode: ExecMode,
     bench_name: &str,
     bench: fn(&MachineSpec, ExecMode, usize) -> f64,
     sockets: usize,
     scale: Scale,
-) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+) -> Job {
     let key = JobKey::new(format!("global/{bench_name}"), Some(m), Some(mode), scale)
         .with("sockets", sockets);
+    let ranks = sockets * m.ranks_per_node(mode);
     let m = m.clone();
-    (key, move || {
+    Job::new(key, move || {
         let p = global::sweep(&m, mode, &[sockets], bench).remove(0);
         obj(vec![
             ("sockets", p.sockets.into()),
@@ -230,6 +241,21 @@ fn global_job(
             ("value", p.value.into()),
         ])
     })
+    .with_cost(ranks)
+}
+
+/// S3D in VN mode, the only mode its callers run.
+pub(crate) fn s3d_job(m: &MachineSpec, cores: usize, scale: Scale) -> Job {
+    let key = JobKey::new("s3d", Some(m), Some(ExecMode::VN), scale).with("cores", cores);
+    let m = m.clone();
+    Job::new(key, move || {
+        let r = s3d::s3d(&m, ExecMode::VN, cores);
+        obj(vec![
+            ("secs_per_step", r.secs_per_step.into()),
+            ("cost_us_per_point", r.cost_us_per_point.into()),
+        ])
+    })
+    .with_cost(cores)
 }
 
 // ------------------------------------------------------------------ figures
@@ -270,7 +296,7 @@ fn fig01(scale: Scale) -> FigureSpec {
             .with("transfer_size", 4u64 << 20)
             .with("stripe_count", stripes)
             .with("file_per_process", true);
-        let job = b.job(key, move || {
+        let job = b.job(Job::new(key, move || {
             let out = run_ior(
                 7,
                 LustreConfig::default(),
@@ -283,7 +309,8 @@ fn fig01(scale: Scale) -> FigureSpec {
                 },
             );
             obj(vec![("write_gbs", out.write_gbs.into()), ("read_gbs", out.read_gbs.into())])
-        });
+        })
+        .with_cost(clients));
         b.point(w, stripes as f64, job, "write_gbs");
         b.point(r, stripes as f64, job, "read_gbs");
     }
@@ -322,7 +349,8 @@ fn netbench_fig(id: &'static str, title: &str, y: &str, fields: [&'static str; 5
     let sockets = net_sockets(scale);
     for (name, m, mode) in micro_systems() {
         let key = JobKey::new("netbench", Some(&m), Some(mode), scale).with("sockets", sockets);
-        let job = b.job(key, move || {
+        let ranks = sockets * m.ranks_per_node(mode);
+        let job = b.job(Job::new(key, move || {
             let r = netbench::network_bench(&m, mode, sockets);
             obj(vec![
                 ("pp_min_us", r.pp_min_us.into()),
@@ -336,7 +364,8 @@ fn netbench_fig(id: &'static str, title: &str, y: &str, fields: [&'static str; 5
                 ("nat_ring_bw", r.nat_ring_bw.into()),
                 ("rand_ring_bw", r.rand_ring_bw.into()),
             ])
-        });
+        })
+        .with_cost(ranks));
         let s = b.series(name);
         for (i, field) in fields.into_iter().enumerate() {
             b.point(s, (i + 1) as f64, job, field);
@@ -358,8 +387,7 @@ fn local_fig(id: &'static str, title: &str, kernel: local::LocalKernel, scale: S
     let sp = b.series("SP");
     let ep = b.series("EP");
     for (i, (_name, m, mode)) in micro_systems().into_iter().enumerate() {
-        let (key, run) = local_job(&m, mode, kernel, scale);
-        let job = b.job(key, run);
+        let job = b.job(local_job(&m, mode, kernel, scale));
         b.point(sp, (i + 1) as f64, job, "sp");
         b.point(ep, (i + 1) as f64, job, "ep");
     }
@@ -404,16 +432,14 @@ fn global_fig(
     for (name, m, mode) in [("XT3", &xt3, ExecMode::SN), ("XT4-SN", &xt4, ExecMode::SN)] {
         let s = b.series(name);
         for &n in &sockets {
-            let (key, run) = global_job(m, mode, bench_name, bench, n, scale);
-            let job = b.job(key, run);
+            let job = b.job(global_job(m, mode, bench_name, bench, n, scale));
             b.point(s, n as f64, job, "value");
         }
     }
     let by_cores = b.series("XT4-VN (cores)");
     let by_sockets = b.series("XT4-VN (sockets)");
     for &n in &sockets {
-        let (key, run) = global_job(&xt4, ExecMode::VN, bench_name, bench, n, scale);
-        let job = b.job(key, run);
+        let job = b.job(global_job(&xt4, ExecMode::VN, bench_name, bench, n, scale));
         // x = cores for the first series needs the job's own cores output;
         // GlobalPoint computes cores = ranks, which for a socket-count sweep
         // in VN mode is sockets × cores/socket — known at build time.
@@ -461,8 +487,7 @@ fn bidir_fig(id: &'static str, title: &str, scale: Scale) -> FigureSpec {
     for (name, m, mode, pairs) in bidir_systems() {
         let s = b.series(name);
         for bytes in bidir::sweep_sizes() {
-            let (key, run) = bidir_job(&m, mode, pairs, bytes, scale);
-            let job = b.job(key, run);
+            let job = b.job(bidir_job(&m, mode, pairs, bytes, scale));
             b.point(s, bytes as f64, job, "bandwidth_mbs");
         }
     }
@@ -499,8 +524,7 @@ fn fig14(scale: Scale) -> FigureSpec {
     for (name, m, mode) in systems {
         let s = b.series(name);
         for &t in &cam_tasks(scale) {
-            let (key, run) = cam_job(&m, mode, t, 1, scale);
-            let job = b.job(key, run);
+            let job = b.job(cam_job(&m, mode, t, 1, scale));
             b.point(s, t as f64, job, "years_per_day");
         }
     }
@@ -531,10 +555,13 @@ fn fig15(scale: Scale) -> FigureSpec {
             }
             let key = JobKey::new("cam_best", Some(&m), Some(mode), scale).with("processors", t);
             let m2 = m.clone();
-            let job = b.job(key, move || match cam::cam_best(&m2, mode, t) {
-                None => Value::Null,
-                Some(r) => obj(vec![("years_per_day", r.years_per_day.into())]),
-            });
+            let job = b.job(
+                Job::new(key, move || match cam::cam_best(&m2, mode, t) {
+                    None => Value::Null,
+                    Some(r) => obj(vec![("years_per_day", r.years_per_day.into())]),
+                })
+                .with_cost(t),
+            );
             b.point(s, t as f64, job, "years_per_day");
         }
     }
@@ -561,8 +588,7 @@ fn fig16(scale: Scale) -> FigureSpec {
             if t > m.core_count() {
                 continue;
             }
-            let (key, run) = cam_job(&m, mode, t, 1, scale);
-            let job = b.job(key, run);
+            let job = b.job(cam_job(&m, mode, t, 1, scale));
             b.point(dynamics, t as f64, job, "dynamics_secs_per_day");
             b.point(physics, t as f64, job, "physics_secs_per_day");
         }
@@ -597,8 +623,7 @@ fn fig17(scale: Scale) -> FigureSpec {
             if t > machine.max_ranks(mode) {
                 continue;
             }
-            let (key, run) = pop_job(&machine, mode, t, pop::Solver::StandardCg, scale);
-            let job = b.job(key, run);
+            let job = b.job(pop_job(&machine, mode, t, pop::Solver::StandardCg, scale));
             b.point(s, t as f64, job, "years_per_day");
         }
     }
@@ -623,8 +648,7 @@ fn fig18(scale: Scale) -> FigureSpec {
             } else {
                 presets::xt4()
             };
-            let (key, run) = pop_job(&machine, ExecMode::VN, t, solver, scale);
-            let job = b.job(key, run);
+            let job = b.job(pop_job(&machine, ExecMode::VN, t, solver, scale));
             b.point(s, t as f64, job, "years_per_day");
         }
     }
@@ -634,8 +658,7 @@ fn fig18(scale: Scale) -> FigureSpec {
         if t > x1e.max_ranks(ExecMode::SN) {
             continue;
         }
-        let (key, run) = pop_job(&x1e, ExecMode::SN, t, pop::Solver::StandardCg, scale);
-        let job = b.job(key, run);
+        let job = b.job(pop_job(&x1e, ExecMode::SN, t, pop::Solver::StandardCg, scale));
         b.point(s, t as f64, job, "years_per_day");
     }
     b.build()
@@ -665,8 +688,7 @@ fn fig19(scale: Scale) -> FigureSpec {
             if t > machine.max_ranks(mode).max(24_000) {
                 continue;
             }
-            let (key, run) = pop_job(&machine, mode, t, solver, scale);
-            let job = b.job(key, run);
+            let job = b.job(pop_job(&machine, mode, t, solver, scale));
             b.point(baro, t as f64, job, "baroclinic_secs_per_day");
             b.point(barot, t as f64, job, "barotropic_secs_per_day");
         }
@@ -681,15 +703,16 @@ fn namd_tasks(scale: Scale) -> Vec<usize> {
     }
 }
 
-fn namd_job(m: &MachineSpec, mode: ExecMode, tasks: usize, sys: namd::System, scale: Scale) -> (JobKey, impl Fn() -> Value + Send + Sync) {
+fn namd_job(m: &MachineSpec, mode: ExecMode, tasks: usize, sys: namd::System, scale: Scale) -> Job {
     let key = JobKey::new("namd", Some(m), Some(mode), scale)
         .with("tasks", tasks)
         .with("system", sys.label());
     let m = m.clone();
-    (key, move || {
+    Job::new(key, move || {
         let r = namd::namd(&m, mode, tasks, sys);
         obj(vec![("secs_per_step", r.secs_per_step.into()), ("pme_fraction", r.pme_fraction.into())])
     })
+    .with_cost(tasks)
 }
 
 fn fig20(scale: Scale) -> FigureSpec {
@@ -701,8 +724,7 @@ fn fig20(scale: Scale) -> FigureSpec {
                 if t > cap {
                     continue;
                 }
-                let (key, run) = namd_job(&m, ExecMode::VN, t, sys, scale);
-                let job = b.job(key, run);
+                let job = b.job(namd_job(&m, ExecMode::VN, t, sys, scale));
                 b.point(s, t as f64, job, "secs_per_step");
             }
         }
@@ -724,8 +746,7 @@ fn fig21(scale: Scale) -> FigureSpec {
                 if mode == ExecMode::SN && t > 6_400 {
                     continue;
                 }
-                let (key, run) = namd_job(&m, mode, t, sys, scale);
-                let job = b.job(key, run);
+                let job = b.job(namd_job(&m, mode, t, sys, scale));
                 b.point(s, t as f64, job, "secs_per_step");
             }
         }
@@ -744,15 +765,7 @@ fn fig22(scale: Scale) -> FigureSpec {
     for (name, m) in [("XT3", presets::xt3_dual()), ("XT4", presets::xt4())] {
         let s = b.series(name);
         for &c in &cores {
-            let key = JobKey::new("s3d", Some(&m), Some(ExecMode::VN), scale).with("cores", c);
-            let m2 = m.clone();
-            let job = b.job(key, move || {
-                let r = s3d::s3d(&m2, ExecMode::VN, c);
-                obj(vec![
-                    ("secs_per_step", r.secs_per_step.into()),
-                    ("cost_us_per_point", r.cost_us_per_point.into()),
-                ])
-            });
+            let job = b.job(s3d_job(&m, c, scale));
             b.point(s, c as f64, job, "cost_us_per_point");
         }
     }
@@ -804,15 +817,18 @@ fn fig23(scale: Scale) -> FigureSpec {
         let key = JobKey::new("aorsa", Some(&m), Some(ExecMode::VN), scale)
             .with("cores", cores)
             .with("grid", grid);
-        spec.push_job(key, move || {
-            let r = aorsa::aorsa(&m, ExecMode::VN, cores, grid);
-            obj(vec![
-                ("axb_minutes", r.axb_minutes.into()),
-                ("ql_minutes", r.ql_minutes.into()),
-                ("total_minutes", r.total_minutes.into()),
-                ("solver_tflops", r.solver_tflops.into()),
-            ])
-        });
+        spec.push(
+            Job::new(key, move || {
+                let r = aorsa::aorsa(&m, ExecMode::VN, cores, grid);
+                obj(vec![
+                    ("axb_minutes", r.axb_minutes.into()),
+                    ("ql_minutes", r.ql_minutes.into()),
+                    ("total_minutes", r.total_minutes.into()),
+                    ("solver_tflops", r.solver_tflops.into()),
+                ])
+            })
+            .with_cost(cores),
+        );
     }
     spec
 }

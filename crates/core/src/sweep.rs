@@ -11,6 +11,10 @@
 //! (`Rc`/`RefCell` worlds). That is fine — each job *constructs its own
 //! world* inside its closure, so nothing non-`Send` ever crosses a thread
 //! boundary; only plain spec data goes in and a JSON [`Value`] comes out.
+//! Workers claim cache misses off a shared atomic cursor over a dispatch
+//! list sorted by each job's [`Job::cost`] hint, largest first (ties in job
+//! order), so a sweep's longest jobs start first instead of last; the hint
+//! moves only wall time, never an output byte.
 //!
 //! Caching: results live in the two-tier [`DiskCache`] (see
 //! [`crate::cache`]) — a sharded in-memory LRU hot tier over one
@@ -111,20 +115,34 @@ impl JobKey {
     }
 }
 
-/// One schedulable sweep point: an identity plus the closure that computes
-/// it. The closure builds its own single-threaded simulation world, so it is
-/// safe to run from any worker thread.
+/// One schedulable sweep point: an identity, a predicted cost, and the
+/// closure that computes it. The closure builds its own single-threaded
+/// simulation world, so it is safe to run from any worker thread.
 pub struct Job {
     /// Cache identity.
     pub key: JobKey,
+    /// Predicted relative host cost; the figure generators use the number of
+    /// MPI ranks the job simulates. [`run_figure`] dispatches cache misses
+    /// largest cost first. It is deliberately not part of [`JobKey`], so
+    /// digests, cache entries, traces and figures never see it: a wrong
+    /// guess costs wall time, never bytes.
+    pub cost: u64,
     /// The computation; returns the job's JSON-serializable output.
     pub run: Box<dyn Fn() -> Value + Send + Sync>,
 }
 
 impl Job {
-    /// Package `run` under `key`.
+    /// Package `run` under `key`, with cost 0 (dispatched after every job
+    /// that carries a cost hint).
     pub fn new(key: JobKey, run: impl Fn() -> Value + Send + Sync + 'static) -> Job {
-        Job { key, run: Box::new(run) }
+        Job { key, cost: 0, run: Box::new(run) }
+    }
+
+    /// Set the dispatch cost hint, conventionally the number of MPI ranks
+    /// the job simulates (builder style).
+    pub fn with_cost(mut self, cost: usize) -> Job {
+        self.cost = cost as u64;
+        self
     }
 }
 
@@ -153,13 +171,19 @@ impl FigureSpec {
         FigureSpec { id, jobs: Vec::new(), assemble: Box::new(assemble) }
     }
 
-    /// Append a job, returning its index (for use inside `assemble`).
+    /// Append a job with cost 0, returning its index (for use inside
+    /// `assemble`).
     pub fn push_job(
         &mut self,
         key: JobKey,
         run: impl Fn() -> Value + Send + Sync + 'static,
     ) -> usize {
-        self.jobs.push(Job::new(key, run));
+        self.push(Job::new(key, run))
+    }
+
+    /// Append a built job, returning its index (for use inside `assemble`).
+    pub fn push(&mut self, job: Job) -> usize {
+        self.jobs.push(job);
         self.jobs.len() - 1
     }
 }
@@ -234,11 +258,18 @@ pub struct JobMetrics {
     pub digest: String,
     /// Whether the job was answered from the cache (no trace then).
     pub cached: bool,
+    /// The job's [`Job::cost`] dispatch hint.
+    pub cost: u64,
+    /// Seconds from the start of [`run_figure`] until the job's closure
+    /// began (0 for cache hits).
+    pub start_secs: f64,
+    /// Host seconds spent inside the job's closure (0 for cache hits).
+    pub wall_secs: f64,
     /// Trace aggregate for computed jobs when capture was enabled.
     pub trace: Option<TraceSummary>,
 }
 
-impl_serde_struct!(JobMetrics { index, kind, digest, cached, trace });
+impl_serde_struct!(JobMetrics { index, kind, digest, cached, cost, start_secs, wall_secs, trace });
 
 /// Machine-readable per-figure metrics record: what ran, what hit the cache,
 /// and where simulated time went (categories from
@@ -310,13 +341,21 @@ pub struct RunStats {
     pub metrics: Option<FigureMetrics>,
 }
 
-/// One computed job's result: its output value plus the trace captured
-/// around it (when capture was on).
-type JobOutcome = (Value, Option<TraceData>);
+/// One computed job's result: its output value, the trace captured around
+/// it (when capture was on), and when it ran.
+struct JobOutcome {
+    value: Value,
+    trace: Option<TraceData>,
+    /// Seconds from the start of [`run_figure`] until the closure began.
+    start_secs: f64,
+    /// Host seconds inside the closure.
+    wall_secs: f64,
+}
 
 /// Execute a figure spec under `cfg`: cache-lookup every job (verifying the
-/// embedded key), run the misses on the worker pool — optionally under trace
-/// capture — persist fresh results, export traces, and assemble in job order.
+/// embedded key), run the misses on the worker pool — largest [`Job::cost`]
+/// first, optionally under trace capture — then persist fresh results,
+/// export traces, and assemble, all in job order.
 pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStats) {
     let t0 = Instant::now();
     let n = spec.jobs.len();
@@ -355,48 +394,57 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
     let cached = n - pending.len();
     let capture = cfg.capture();
 
-    // Execute misses: worker threads pull indices off a shared atomic cursor
-    // (cheap work-stealing); results land in per-job mutexed slots and are
-    // read back in job order, so scheduling order never leaks into output.
-    // Each job runs single-threaded on whichever worker claims it, so
-    // thread-local trace capture brackets exactly that job's simulation.
+    // Dispatch order over the misses: largest cost hint first, ties in job
+    // order (the sort is stable). Sweeps list their points in ascending
+    // size, so job order would start a figure's longest job last and leave
+    // the other workers idle while it runs.
+    let mut dispatch: Vec<usize> = (0..pending.len()).collect();
+    dispatch.sort_by_key(|&k| std::cmp::Reverse(spec.jobs[pending[k]].cost));
+
+    // Execute misses: worker threads pull dispatch positions off a shared
+    // atomic cursor (cheap work-stealing); results land in per-job mutexed
+    // slots and are read back in job order, so scheduling order never leaks
+    // into output. Each job runs single-threaded on whichever worker claims
+    // it, so thread-local trace capture brackets exactly that job's
+    // simulation.
     let workers = cfg.jobs.max(1).min(pending.len().max(1));
     let job_exec_seconds = xtsim_obs::histogram(
         "xtsim_sweep_job_exec_seconds",
         "Wall-clock execution time of one sweep-point job (cache misses only).",
     );
     let exec = |i: usize| -> JobOutcome {
-        let sw = xtsim_obs::Stopwatch::start();
-        let out = if capture {
+        let start = t0.elapsed();
+        let (value, trace) = if capture {
             trace::capture_begin();
             let v = (spec.jobs[i].run)();
             (v, trace::capture_end())
         } else {
             ((spec.jobs[i].run)(), None)
         };
-        job_exec_seconds.observe_since(&sw);
-        out
+        // One reading feeds both the histogram and the metrics record.
+        let wall_secs = t0.elapsed().saturating_sub(start).as_secs_f64();
+        job_exec_seconds.observe(wall_secs);
+        JobOutcome { value, trace, start_secs: start.as_secs_f64(), wall_secs }
     };
     let fresh: Vec<Mutex<Option<JobOutcome>>> =
         pending.iter().map(|_| Mutex::new(None)).collect();
     if workers <= 1 {
-        for (slot, &i) in fresh.iter().zip(&pending) {
-            *slot.lock().unwrap() = Some(exec(i));
+        for &k in &dispatch {
+            *fresh[k].lock().unwrap() = Some(exec(pending[k]));
         }
     } else {
         let cursor = AtomicUsize::new(0);
         let exec_ref = &exec;
+        let dispatch_ref = &dispatch;
         let pending_ref = &pending;
         let fresh_ref = &fresh;
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= pending_ref.len() {
-                        break;
+                s.spawn(|| {
+                    while let Some(&k) = dispatch_ref.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let v = exec_ref(pending_ref[k]);
+                        *fresh_ref[k].lock().unwrap() = Some(v);
                     }
-                    let v = exec_ref(pending_ref[k]);
-                    *fresh_ref[k].lock().unwrap() = Some(v);
                 });
             }
         });
@@ -429,6 +477,9 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
                     kind: spec.jobs[i].key.kind.clone(),
                     digest: digests[i].to_string(),
                     cached: true,
+                    cost: spec.jobs[i].cost,
+                    start_secs: 0.0,
+                    wall_secs: 0.0,
                     trace: None,
                 });
             }
@@ -439,13 +490,13 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
     }
 
     for (slot, &i) in fresh.iter().zip(&pending) {
-        let (v, trace_data) = slot.lock().unwrap().take().expect("worker filled every slot");
+        let out = slot.lock().unwrap().take().expect("worker filled every slot");
         if let Some(cache) = &cfg.cache {
             // Cache write failure is not a figure failure; drop the entry.
-            let _ = cache.store(&keys[i], &v);
+            let _ = cache.store(&keys[i], &out.value);
         }
         if let Some(m) = metrics.as_mut() {
-            let td = trace_data.unwrap_or_default();
+            let td = out.trace.unwrap_or_default();
             if let Some(dir) = &cfg.trace_dir {
                 let fname = format!("{}-job{:03}-{}.trace.json", spec.id, i, &digests[i][..8]);
                 let json = td.to_chrome_json(&[
@@ -478,10 +529,13 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
                 kind: spec.jobs[i].key.kind.clone(),
                 digest: digests[i].to_string(),
                 cached: false,
+                cost: spec.jobs[i].cost,
+                start_secs: out.start_secs,
+                wall_secs: out.wall_secs,
                 trace: Some(s),
             });
         }
-        slots[i] = Some(v);
+        slots[i] = Some(out.value);
     }
     if let Some(m) = metrics.as_mut() {
         m.jobs.sort_by_key(|j| j.index);
@@ -526,6 +580,7 @@ pub fn num(v: &Value, name: &str) -> f64 {
 mod tests {
     use super::*;
     use crate::report::Series;
+    use std::sync::Arc;
     use xtsim_machine::presets;
 
     fn tiny_spec(mult: f64) -> FigureSpec {
@@ -553,6 +608,47 @@ mod tests {
         );
         assert_eq!(s1.computed, 5);
         assert_eq!(s8.computed, 5);
+    }
+
+    /// `tiny_spec` with the given cost hints, each job logging its index
+    /// when it starts.
+    fn logged_spec(costs: [usize; 5], log: &Arc<Mutex<Vec<usize>>>) -> FigureSpec {
+        let mut spec = tiny_spec(2.0);
+        for (i, (job, cost)) in spec.jobs.iter_mut().zip(costs).enumerate() {
+            let run = std::mem::replace(&mut job.run, Box::new(|| Value::Null));
+            let log = Arc::clone(log);
+            job.run = Box::new(move || {
+                log.lock().unwrap().push(i);
+                run()
+            });
+            job.cost = cost as u64;
+        }
+        spec
+    }
+
+    #[test]
+    fn misses_dispatch_largest_cost_first_ties_in_job_order() {
+        let json = |f: &FigureResult| serde_json::to_string(f).unwrap();
+        let (plain, _) = run_figure(tiny_spec(2.0), &SweepConfig::serial());
+
+        // Jobs 1 and 3 tie on the largest cost.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let cfg = SweepConfig::serial().with_metrics();
+        let (fig, stats) = run_figure(logged_spec([20, 50, 5, 50, 30], &log), &cfg);
+        assert_eq!(*log.lock().unwrap(), [1, 3, 4, 0, 2]);
+        assert_eq!(json(&fig), json(&plain), "dispatch order leaked into the figure");
+        // The metrics record stays in job order and shows the schedule.
+        let m = stats.metrics.expect("metrics collected");
+        let costs: Vec<u64> = m.jobs.iter().map(|j| j.cost).collect();
+        assert_eq!(costs, [20, 50, 5, 50, 30]);
+        let starts: Vec<f64> = [1, 3, 4, 0, 2].iter().map(|&i| m.jobs[i].start_secs).collect();
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "start times {starts:?}");
+
+        // Without hints every job ties: job order.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (fig, _) = run_figure(logged_spec([0; 5], &log), &SweepConfig::serial());
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4]);
+        assert_eq!(json(&fig), json(&plain));
     }
 
     #[test]

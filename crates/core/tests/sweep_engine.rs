@@ -30,6 +30,26 @@ fn parallel_output_is_byte_identical_to_serial() {
     }
 }
 
+/// Every generator sets a dispatch cost hint on every job, at both scales,
+/// so no new sweep silently falls back to job order (which starts an
+/// ascending sweep's longest job last).
+#[test]
+fn every_job_carries_a_cost_hint() {
+    for scale in [Scale::Quick, Scale::Full] {
+        for fig in all_figures().into_iter().chain(all_ablations()) {
+            for (i, job) in fig.spec(scale).jobs.iter().enumerate() {
+                assert!(
+                    job.cost >= 1,
+                    "{} ({}) job {i} ({}) has no cost hint",
+                    fig.id,
+                    scale.label(),
+                    job.key.kind
+                );
+            }
+        }
+    }
+}
+
 /// Second run over a warm cache computes nothing and reproduces the figure
 /// byte-for-byte; fig03 then reuses fig02's netbench runs outright.
 #[test]
@@ -58,6 +78,25 @@ fn warm_cache_skips_recomputation() {
     let (_, shared) = run_figure(xtsim::figures::figure("fig03").unwrap().spec(Scale::Quick), &cfg);
     assert_eq!(shared.computed, 0, "fig03 should ride fig02's cache entries");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Equal keys cache equal outputs whichever generator built them: the
+/// abl-openmp CAM jobs share keys with fig16's, so a cache the ablation
+/// filled must still give fig16 every field it reads.
+#[test]
+fn shared_job_keys_cache_the_same_output() {
+    let dir = tmp_cache_dir("shared");
+    let fig16 = xtsim::figures::figure("fig16").unwrap();
+    let openmp = all_ablations().into_iter().find(|f| f.id == "abl-openmp").unwrap();
+    let cfg = || SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
+    run_figure(openmp.spec(Scale::Quick), &cfg());
+    let (from_cache, stats) = run_figure(fig16.spec(Scale::Quick), &cfg());
+    assert!(stats.cached > 0, "fig16 no longer shares a job with abl-openmp");
+    assert_eq!(
+        serde_json::to_string_pretty(&from_cache).unwrap(),
+        serde_json::to_string_pretty(&fig16.run(Scale::Quick)).unwrap(),
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,8 +4,9 @@
 # determinism/cache tests, the two-tier cache interleaving property tests,
 # the observability trace/metrics consistency tests, and the cache-key and
 # JSON-string property tests), then a cache-disabled quick-scale smoke run
-# of the figures binary itself, a trace/metrics export smoke, CLI
-# validation checks, a serve smoke with a parallel-clients phase over the
+# of the figures binary itself, a trace/metrics export smoke, a dispatch-
+# order check (largest cost hint first), CLI validation checks (bad tokens,
+# missing values, uncreatable output paths), a serve smoke with a parallel-clients phase over the
 # shared memory tier, and the bench gate (including the >=2x
 # memory-vs-disk cache acceptance check and the same-instant flow-lane
 # bench that guards the executor's indexed lanes).
@@ -126,10 +127,33 @@ assert metrics["figures"], "metrics record lists no figures"
 fig = metrics["figures"][0]
 assert fig["computed"] == len(fig["trace_files"]), "one trace per computed job"
 assert fig["sim_total_secs"] > 0, "no simulated time attributed"
+# Per-job schedule: every computed job was timed from the figure's start.
+for job in fig["jobs"]:
+    if not job["cached"]:
+        assert job["wall_secs"] > 0, f"job {job['index']}: no wall time: {job}"
+        assert job["start_secs"] >= 0, f"job {job['index']}: bad start: {job}"
 for path in glob.glob(f"{out}/traces/*.trace.json"):
     trace = json.load(open(path))
     assert trace["traceEvents"], f"{path}: empty traceEvents"
     assert all(ev["ph"] == "X" for ev in trace["traceEvents"])
+EOF
+rm -rf "$out"
+
+echo "== dispatch order (cache misses start largest cost hint first) =="
+# fig18 lists each POP ladder in ascending task count; with one worker the
+# start offsets in the metrics record give the dispatch order directly,
+# whatever the machine's speed.
+out="$(mktemp -d)"
+cargo run --release -p xtsim-bench --bin figures -- \
+    --quick --only fig18 --no-cache --jobs 1 --out "$out" \
+    --metrics "$out/metrics.json" >/dev/null
+python3 - "$out/metrics.json" <<'EOF'
+import json, sys
+fig = json.load(open(sys.argv[1]))["figures"][0]
+jobs = sorted((j for j in fig["jobs"] if not j["cached"]), key=lambda j: j["start_secs"])
+costs = [j["cost"] for j in jobs]
+assert len(costs) == fig["computed"] > 1, fig
+assert all(a >= b for a, b in zip(costs, costs[1:])), f"fig18 dispatched out of cost order: {costs}"
 EOF
 rm -rf "$out"
 
@@ -163,6 +187,15 @@ check_bad_token "figures --cache-mem-cap 12parsecs" "12parsecs" \
     target/release/figures --quick --cache-mem-cap 12parsecs --out "$(mktemp -d)"
 check_bad_token "figures --out (no value)" "--out" \
     target/release/figures --quick --no-cache --out
+# An output location below a regular file cannot be created (ENOTDIR, even
+# as root): exit 2 naming the flag before any figure runs, not a panic.
+f="$(mktemp)"
+check_bad_token "figures --out below a file" "--out" \
+    target/release/figures --quick --no-cache --only table1 --out "$f/sub"
+check_bad_token "figures --metrics below a file" "--metrics" \
+    target/release/figures --quick --no-cache --only table1 --out "$(mktemp -d)" \
+    --metrics "$f/sub/m.json"
+rm -f "$f"
 check_bad_token "xtsim-serve --jobs abc" "abc" \
     target/release/xtsim-serve --port 0 --jobs abc
 check_bad_token "xtsim-serve --cache-mem-cap 12parsecs" "12parsecs" \

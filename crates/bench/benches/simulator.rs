@@ -42,8 +42,28 @@ fn flow_lanes(pools: usize, rounds: usize) -> SimTime {
     sim.run()
 }
 
-/// Raw event throughput of the DES core, and same-instant completion
-/// ordering across many fluid pools.
+/// POP's `isend` shape: one root task spawns `children` tasks that each
+/// sleep once, spread over 64 instants, then awaits every `JoinHandle` in
+/// spawn order. Exercises spawn, the task table and join wake-ups.
+fn spawn_join(children: u64) -> SimTime {
+    let mut sim = Sim::new(0);
+    let h = sim.handle();
+    sim.spawn(async move {
+        let joins: Vec<_> = (0..children)
+            .map(|i| {
+                let hh = h.clone();
+                h.spawn(async move { hh.sleep(SimDuration::from_ns(1 + i % 64)).await })
+            })
+            .collect();
+        for join in joins {
+            join.await;
+        }
+    });
+    sim.run()
+}
+
+/// Raw event throughput of the DES core, spawn/join cost, and same-instant
+/// completion ordering across many fluid pools.
 fn bench_event_loop(c: &mut Criterion) {
     let mut g = c.benchmark_group("des_events");
     let events = 100_000u64;
@@ -59,6 +79,11 @@ fn bench_event_loop(c: &mut Criterion) {
             });
             sim.run()
         });
+    });
+    let children = if quick() { 25_000 } else { 100_000 };
+    g.throughput(Throughput::Elements(children));
+    g.bench_function("spawn_join_100k", |b| {
+        b.iter(|| spawn_join(children));
     });
     let (pools, rounds) = (if quick() { 2_000 } else { 4_000 }, 10);
     g.throughput(Throughput::Elements((pools * 2 * rounds) as u64));

@@ -134,16 +134,26 @@ fn write_string(out: &mut String, s: &str) {
 
 // ------------------------------------------------------------------ parsing
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a deeply nested request body (20,000 `[`
+/// will do) overflows the thread's stack and aborts the process. The
+/// deepest document the simulator writes nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
-/// Parse JSON text into a [`Value`].
+/// Parse JSON text into a [`Value`]. Nesting deeper than [`MAX_DEPTH`] is an
+/// error naming the byte offset where the cap was crossed.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -211,11 +221,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(Error::msg(format!("unexpected byte at {}", self.pos))),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -401,6 +425,31 @@ mod tests {
         let v = parse(r#"{"k":[{"x":1}],"s":"hi"}"#).unwrap();
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(parse(&pretty).unwrap(), v);
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let err = parse(&nested_arrays(100_000)).unwrap_err().to_string();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = "{\"k\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(parse(&objects).is_err());
+
+        let v = parse(&nested_arrays(MAX_DEPTH)).unwrap();
+        let mut depth = 0;
+        let mut cur = &v;
+        while let Value::Array(items) = cur {
+            depth += 1;
+            match items.first() {
+                Some(inner) => cur = inner,
+                None => break,
+            }
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        assert!(parse(&nested_arrays(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

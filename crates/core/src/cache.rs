@@ -770,6 +770,18 @@ mod tests {
     }
 
     #[test]
+    fn too_deeply_nested_entry_is_a_miss() {
+        let dir = tmp_dir("deep");
+        let cache = DiskCache::with_mem_cap(&dir, 0).unwrap();
+        let k = key(5);
+        cache.store(&k, &val(5)).unwrap();
+        let deep = "[".repeat(20_000) + &"]".repeat(20_000);
+        std::fs::write(cache.path_for(&k.digest), deep).unwrap();
+        assert!(matches!(cache.load(&k), CacheLookup::Miss));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn poisoned_memory_entry_is_a_key_mismatch_and_dropped() {
         let dir = tmp_dir("poison");
         let cache = DiskCache::new(&dir).unwrap();

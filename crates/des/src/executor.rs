@@ -47,6 +47,25 @@
 //!   scan of every lane would (see [`Bucket`] for the invariant).
 //!
 //! Two runs of the same program therefore produce byte-identical schedules.
+//!
+//! # Task storage
+//!
+//! The task table is a slab of slots. [`SimHandle::spawn`] boxes the
+//! caller's future once, together with the state its [`JoinHandle`] reads
+//! (a [`Spawned`]), and parks it in a free slot with a [`Waker`] built for
+//! it there and then. Every poll of the task hands out that same waker, so
+//! polling allocates no waker. While a task is being polled its slot is empty;
+//! a `Pending` poll parks it back, a `Ready` one drops it and puts the slot on
+//! a free list, from which the next spawn takes it.
+//!
+//! Each slot carries a **generation**, bumped when its task finishes. The
+//! waker and every ready-queue entry it pushes name the slot *and* the
+//! generation, and the run loop skips an entry whose generation no longer
+//! matches: a stale wake of a finished task (a timer it left behind, a
+//! waker a peer kept) is dropped exactly as a wake of an empty slot is, and
+//! never polls the task that now holds the slot. Slot ids and waker
+//! identities are not observable, so recycling changes no poll order, event
+//! order or `seq`.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -172,6 +191,16 @@ impl Hasher for WordHasher {
     }
 }
 
+/// How many drained buckets [`EventQueue::pop`] keeps for reuse.
+const SPARE_BUCKETS: usize = 32;
+
+/// Largest FIFO capacity a drained bucket may have and still be kept. A
+/// lock-step instant (every POP rank finishing a phase together) grows its
+/// FIFO to thousands of entries; keeping such a bucket would pin that
+/// capacity for the rest of the run, while the small buckets of ordinary
+/// instants are the ones worth reusing.
+const SPARE_FIFO_CAP: usize = 256;
+
 /// Time-bucketed pending-event queue.
 ///
 /// Invariant: a timestamp is in `times` **iff** `buckets` holds a non-empty
@@ -184,7 +213,8 @@ struct EventQueue {
     times: BinaryHeap<Reverse<SimTime>>,
     buckets: HashMap<SimTime, Bucket, BuildHasherDefault<WordHasher>>,
     /// Drained buckets kept for reuse, so steady-state scheduling is
-    /// allocation-free.
+    /// allocation-free: at most [`SPARE_BUCKETS`] of them, each with a FIFO
+    /// of at most [`SPARE_FIFO_CAP`] entries.
     spare: Vec<Bucket>,
     len: usize,
 }
@@ -254,7 +284,7 @@ impl EventQueue {
         if bucket.is_empty() {
             self.times.pop();
             if let Some(empty) = self.buckets.remove(&time) {
-                if self.spare.len() < 32 {
+                if self.spare.len() < SPARE_BUCKETS && empty.fifo.capacity() <= SPARE_FIFO_CAP {
                     self.spare.push(empty);
                 }
             }
@@ -276,26 +306,99 @@ impl EventQueue {
     }
 }
 
-/// Shared FIFO of runnable task ids. `Waker` must be `Send + Sync`, hence the
+/// A task's slot in the task table and the slot's generation when the task
+/// was spawned (see "Task storage" in the module docs).
+type TaskRef = (usize, u64);
+
+/// Shared FIFO of runnable tasks. `Waker` must be `Send + Sync`, hence the
 /// mutex, even though the simulation itself is single-threaded.
-type ReadyQueue = Arc<Mutex<VecDeque<usize>>>;
+type ReadyQueue = Arc<Mutex<VecDeque<TaskRef>>>;
 
 struct TaskWaker {
-    id: usize,
+    task: TaskRef,
     ready: ReadyQueue,
 }
 
 impl std::task::Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+    fn wake_by_ref(self: &Arc<Self>) {
         // A poisoned ready queue only means another thread panicked mid-push;
         // the VecDeque itself is still consistent, so waking must not turn
         // one panic into an abort-grade double panic.
         // xtsim-lint: allow(blocking-in-poll, "ready-queue mutex is held for one push_back; uncontended in the single-threaded executor (Waker: Sync forces a lock)")
-        self.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(self.id);
+        self.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(self.task);
     }
-    fn wake_by_ref(self: &Arc<Self>) {
-        // xtsim-lint: allow(blocking-in-poll, "ready-queue mutex is held for one push_back; uncontended in the single-threaded executor (Waker: Sync forces a lock)")
-        self.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(self.id);
+}
+
+/// A spawned task: its future, boxed once, and the waker every poll of it
+/// uses.
+struct Task {
+    fut: LocalFuture,
+    waker: Waker,
+}
+
+struct TaskSlot {
+    /// Bumped each time the slot's task finishes; wakes that name an older
+    /// generation are stale.
+    generation: u64,
+    /// The task parked here between polls; `None` while it is being polled
+    /// and while the slot is free.
+    task: Option<Task>,
+}
+
+/// Slab of task slots with a free list of finished tasks' slots.
+#[derive(Default)]
+struct TaskTable {
+    slots: Vec<TaskSlot>,
+    free: Vec<usize>,
+}
+
+impl TaskTable {
+    /// Store `fut` in a free slot (a fresh one if none is free) and return
+    /// the task's reference.
+    fn insert(&mut self, fut: LocalFuture, ready: &ReadyQueue) -> TaskRef {
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        let generation = self.slots.get(slot).map_or(0, |entry| entry.generation);
+        let task = (slot, generation);
+        let waker = Waker::from(Arc::new(TaskWaker { task, ready: Arc::clone(ready) }));
+        let entry = TaskSlot { generation, task: Some(Task { fut, waker }) };
+        match self.slots.get_mut(slot) {
+            Some(free) => *free = entry,
+            None => self.slots.push(entry),
+        }
+        task
+    }
+
+    /// Take `task` out of its slot for polling; `None` if the wake is stale
+    /// (the task finished, so its slot's generation moved on).
+    fn take(&mut self, (slot, generation): TaskRef) -> Option<Task> {
+        let entry = self.slots.get_mut(slot)?;
+        if entry.generation != generation {
+            return None;
+        }
+        entry.task.take()
+    }
+
+    /// Put a task that returned `Pending` back into its slot.
+    fn park(&mut self, (slot, _): TaskRef, task: Task) {
+        if let Some(entry) = self.slots.get_mut(slot) {
+            entry.task = Some(task);
+        }
+    }
+
+    /// Free the slot of a finished task and stale its outstanding wakes.
+    fn release(&mut self, (slot, _): TaskRef) {
+        if let Some(entry) = self.slots.get_mut(slot) {
+            entry.generation += 1;
+            self.free.push(slot);
+        }
+    }
+
+    /// Tasks spawned and not yet finished, including one being polled.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -306,11 +409,8 @@ pub(crate) struct SimCore {
     seq: Cell<u64>,
     /// Per flow source: seq of its most recent rebalance (see `Bucket`).
     flow_seq: RefCell<Vec<u64>>,
-    tasks: RefCell<Vec<Option<LocalFuture>>>,
-    /// Tasks spawned while the executor is mid-poll; drained before the next step.
-    staged: RefCell<Vec<(usize, LocalFuture)>>,
+    tasks: RefCell<TaskTable>,
     ready: ReadyQueue,
-    live_tasks: Cell<usize>,
     base_seed: u64,
 }
 
@@ -365,27 +465,10 @@ impl SimCore {
         self.events.borrow_mut().reserve(additional);
     }
 
-    fn stage_task(&self, fut: LocalFuture) -> usize {
-        let id = {
-            let tasks = self.tasks.borrow();
-            tasks.len() + self.staged.borrow().len()
-        };
-        self.staged.borrow_mut().push((id, fut));
-        self.live_tasks.set(self.live_tasks.get() + 1);
-        self.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(id);
-        id
-    }
-
-    fn commit_staged(&self) {
-        let mut staged = self.staged.borrow_mut();
-        if staged.is_empty() {
-            return;
-        }
-        let mut tasks = self.tasks.borrow_mut();
-        for (id, fut) in staged.drain(..) {
-            debug_assert_eq!(id, tasks.len());
-            tasks.push(Some(fut));
-        }
+    /// Store a new task and queue its first poll at the current instant.
+    fn spawn_task(&self, fut: LocalFuture) {
+        let task = self.tasks.borrow_mut().insert(fut, &self.ready);
+        self.ready.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(task);
     }
 }
 
@@ -431,16 +514,10 @@ impl SimHandle {
             result: None,
             waker: None,
         }));
-        let state2 = Rc::clone(&state);
-        let wrapped = async move {
-            let out = fut.await;
-            let mut st = state2.borrow_mut();
-            st.result = Some(out);
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        };
-        self.core.stage_task(Box::pin(wrapped));
+        self.core.spawn_task(Box::pin(Spawned {
+            fut: Some(fut),
+            state: Rc::clone(&state),
+        }));
         JoinHandle { state }
     }
 
@@ -467,6 +544,47 @@ impl SimHandle {
 struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
+}
+
+/// What [`SimHandle::spawn`] boxes: the caller's future, stored once, and
+/// the join state its output goes to.
+///
+/// An `async move { let out = fut.await; ... }` wrapper would keep `fut`
+/// twice in its state machine, once as the captured variable and once as the
+/// value being awaited, doubling every task's allocation.
+struct Spawned<F: Future> {
+    /// `None` once the future has finished and been dropped.
+    fut: Option<F>,
+    state: Rc<RefCell<JoinState<F::Output>>>,
+}
+
+impl<F: Future> Future for Spawned<F> {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: pin projection. `fut` is structurally pinned: it is only
+        // ever reached through the `Pin` made here, polled in place and
+        // dropped in place by `Pin::set`, and `Spawned` has no `Drop` impl
+        // that could move it. `state` is not pinned and only borrowed.
+        let (mut fut, state) = unsafe {
+            let this = self.get_unchecked_mut();
+            (Pin::new_unchecked(&mut this.fut), &this.state)
+        };
+        let Some(inner) = fut.as_mut().as_pin_mut() else {
+            return Poll::Ready(());
+        };
+        let Poll::Ready(out) = inner.poll(cx) else {
+            return Poll::Pending;
+        };
+        // Drop the finished future before its output is published and the
+        // joiner woken, as awaiting it inside a wrapper future would.
+        fut.set(None);
+        let mut st = state.borrow_mut();
+        st.result = Some(out);
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
 }
 
 /// Future resolving to a spawned task's output.
@@ -547,10 +665,8 @@ impl Sim {
             events: RefCell::new(EventQueue::default()),
             seq: Cell::new(0),
             flow_seq: RefCell::new(Vec::new()),
-            tasks: RefCell::new(Vec::new()),
-            staged: RefCell::new(Vec::new()),
+            tasks: RefCell::new(TaskTable::default()),
             ready: Arc::new(Mutex::new(VecDeque::new())),
-            live_tasks: Cell::new(0),
             base_seed: seed,
         });
         Sim {
@@ -577,7 +693,6 @@ impl Sim {
     pub fn run(&mut self) -> SimTime {
         let core = &self.handle.core;
         loop {
-            core.commit_staged();
             // Phase 1: drain the ready queue at the current instant.
             loop {
                 let next = core
@@ -585,29 +700,17 @@ impl Sim {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .pop_front();
-                let Some(id) = next else { break };
-                let fut = {
-                    let mut tasks = core.tasks.borrow_mut();
-                    match tasks.get_mut(id) {
-                        Some(slot) => slot.take(),
-                        None => None,
-                    }
-                };
-                let Some(mut fut) = fut else { continue }; // finished or spurious wake
-                let waker = Waker::from(Arc::new(TaskWaker {
-                    id,
-                    ready: Arc::clone(&core.ready),
-                }));
-                let mut cx = Context::from_waker(&waker);
-                match fut.as_mut().poll(&mut cx) {
+                let Some(task_ref) = next else { break };
+                let task = core.tasks.borrow_mut().take(task_ref);
+                let Some(mut task) = task else { continue }; // stale wake of a finished task
+                let mut cx = Context::from_waker(&task.waker);
+                match task.fut.as_mut().poll(&mut cx) {
                     Poll::Ready(()) => {
-                        core.live_tasks.set(core.live_tasks.get() - 1);
+                        drop(task);
+                        core.tasks.borrow_mut().release(task_ref);
                     }
-                    Poll::Pending => {
-                        core.tasks.borrow_mut()[id] = Some(fut);
-                    }
+                    Poll::Pending => core.tasks.borrow_mut().park(task_ref, task),
                 }
-                core.commit_staged();
             }
             // Phase 2: advance time to the next event.
             let entry = {
@@ -632,7 +735,7 @@ impl Sim {
 
     /// Panic unless every spawned task has completed.
     fn assert_quiescent(&self) {
-        let leaked = self.handle.core.live_tasks.get();
+        let leaked = self.handle.core.tasks.borrow().live();
         assert!(
             leaked == 0,
             "simulation deadlock: {leaked} task(s) still blocked at t={}",
@@ -650,8 +753,7 @@ impl Drop for Sim {
     fn drop(&mut self) {
         // Break potential Rc cycles: tasks own SimHandle which owns the core
         // which owns the tasks. Dropping the futures here frees everything.
-        self.handle.core.tasks.borrow_mut().clear();
-        self.handle.core.staged.borrow_mut().clear();
+        *self.handle.core.tasks.borrow_mut() = TaskTable::default();
         self.handle.core.events.borrow_mut().clear();
     }
 }
@@ -820,6 +922,90 @@ mod tests {
         sim.run();
         // call_at scheduled before either task first polled its sleep.
         assert_eq!(*log.borrow(), vec!["call", "first", "second"]);
+    }
+
+    /// Spawning and finishing tasks one after another reuses their slots:
+    /// the table holds the root task and one child, not one slot per spawn.
+    #[test]
+    fn finished_task_slots_are_reused() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let done = sim.spawn(async move {
+            for i in 0..10_000u64 {
+                let hh = h.clone();
+                let child = h.spawn(async move {
+                    hh.sleep(SimDuration::from_ns(1)).await;
+                    i
+                });
+                assert_eq!(child.await, i);
+            }
+        });
+        sim.run();
+        assert!(done.is_finished());
+        let slots = sim.handle.core.tasks.borrow().slots.len();
+        assert!(slots <= 2, "10,000 sequential spawns left {slots} task slots");
+    }
+
+    /// `spawn` boxes the caller's future once: a task holding a 4 KiB
+    /// buffer across an await costs about 4 KiB, not twice that.
+    #[test]
+    fn spawn_stores_the_future_once() {
+        const N: usize = 4096;
+        let sim = Sim::new(0);
+        let h = sim.handle();
+        let fut = async move {
+            let buf = [7u8; N];
+            h.sleep(SimDuration::from_ns(1)).await;
+            buf.iter().map(|&b| u64::from(b)).sum::<u64>()
+        };
+        assert!(std::mem::size_of_val(&fut) >= N);
+        let _join = sim.spawn(fut);
+        let tasks = sim.handle.core.tasks.borrow();
+        let task = tasks.slots[0].task.as_ref().expect("spawned task is parked");
+        let stored = std::mem::size_of_val(&*task.fut);
+        assert!(stored < N + 256, "a {N}-byte future is stored in {stored} bytes");
+    }
+
+    /// Polls of the task it wraps, which sleeps once.
+    struct CountPolls {
+        polls: Rc<Cell<u32>>,
+        sleep: Sleep,
+    }
+
+    impl Future for CountPolls {
+        type Output = ();
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.polls.set(self.polls.get() + 1);
+            Pin::new(&mut self.sleep).poll(cx)
+        }
+    }
+
+    /// A waker kept from a finished task, woken after the task's slot went
+    /// to a new task, must not poll the new occupant: the generation in
+    /// the wake no longer matches the slot's.
+    #[test]
+    fn stale_wake_never_polls_the_slots_next_task() {
+        let mut sim = Sim::new(0);
+        let kept: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let k = Rc::clone(&kept);
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *k.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        let stale = kept.borrow_mut().take().expect("first task kept its waker");
+
+        let polls = Rc::new(Cell::new(0));
+        let h = sim.handle();
+        sim.spawn(CountPolls {
+            polls: Rc::clone(&polls),
+            sleep: h.sleep(SimDuration::from_ns(10)),
+        });
+        assert_eq!(sim.handle.core.tasks.borrow().slots.len(), 1, "slot reused");
+        h.call_at(SimTime::from_ps(5_000), move || stale.wake());
+        assert_eq!(sim.run(), SimTime::from_ps(10_000));
+        // First poll at t=0 and the timer's wake at 10 ns; none at 5 ns.
+        assert_eq!(polls.get(), 2);
     }
 
     /// The lane selection the indexed queue replaced, kept as the reference:

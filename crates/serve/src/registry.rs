@@ -242,6 +242,23 @@ mod tests {
     }
 
     #[test]
+    fn replay_skips_too_deeply_nested_lines() {
+        let dir = std::env::temp_dir().join(format!("xtsim-registry-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        reg.append(&record(1, "fig02", 1.0)).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(reg.path()).unwrap();
+        let deep = "[".repeat(20_000) + &"]".repeat(20_000) + "\n";
+        f.write_all(deep.as_bytes()).unwrap();
+        drop(f);
+        reg.append(&record(2, "fig12", 2.0)).unwrap();
+        let replay = reg.replay();
+        assert_eq!(replay.records.len(), 2);
+        assert_eq!(replay.skipped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replay_skips_invalid_utf8_lines_only() {
         let dir = std::env::temp_dir().join(format!("xtsim-registry-utf8-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -561,6 +561,17 @@ mod tests {
         assert_eq!(handle(&del, &state).status, 405);
     }
 
+    /// A body nested past the JSON parser's depth cap is a 400, and the
+    /// handler keeps serving: the parser must not recurse until the stack
+    /// overflows and aborts the process.
+    #[test]
+    fn deeply_nested_body_is_400_and_serving_continues() {
+        let state = stub_state();
+        let body = "[".repeat(20_000) + &"]".repeat(20_000);
+        assert_eq!(handle(&post("/runs", &body), &state).status, 400);
+        assert_eq!(handle(&get("/figures"), &state).status, 200);
+    }
+
     #[test]
     fn stats_and_figures_shapes() {
         let state = stub_state();

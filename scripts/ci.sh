@@ -7,9 +7,10 @@
 # of the figures binary itself, a trace/metrics export smoke, a dispatch-
 # order check (largest cost hint first), CLI validation checks (bad tokens,
 # missing values, uncreatable output paths), a serve smoke with a parallel-clients phase over the
-# shared memory tier, and the bench gate (including the >=2x
-# memory-vs-disk cache acceptance check and the same-instant flow-lane
-# bench that guards the executor's indexed lanes).
+# shared memory tier and a too-deeply-nested body probe, and the bench gate
+# (including the >=2x memory-vs-disk cache acceptance check, the same-
+# instant flow-lane bench that guards the executor's indexed lanes, and the
+# spawn/join bench that guards its task storage).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -228,7 +229,8 @@ port, out = sys.argv[1:3]
 base = f"http://127.0.0.1:{port}"
 
 def req(method, path, body=None):
-    data = json.dumps(body).encode() if body is not None else None
+    # bytes go out verbatim; anything else is sent as JSON.
+    data = body if isinstance(body, bytes) or body is None else json.dumps(body).encode()
     try:
         with urllib.request.urlopen(
             urllib.request.Request(base + path, method=method, data=data), timeout=60
@@ -255,6 +257,14 @@ def run_to_completion(body):
 # Unknown figure ids 404 with the ids listed (same validation as --only).
 code, resp = req("POST", "/runs", {"figure": "figZZ"})
 assert code == 404 and b"figZZ" in resp, f"unknown id: {code} {resp}"
+
+# A body nested 20,000 deep is past the JSON parser's depth cap: a 400, and
+# the server keeps answering (unbounded recursion used to overflow the
+# handler thread's stack and abort the process).
+code, resp = req("POST", "/runs", b"[" * 20000 + b"]" * 20000)
+assert code == 400, f"deeply nested body: {code} {resp[:200]}"
+code, _ = req("GET", "/stats")
+assert code == 200, f"/stats after the deeply nested body: {code}"
 
 # Cold service run (fresh cache), then warm rerun from the same cache.
 env, cold = run_to_completion({"figure": "fig02", "scale": "quick", "jobs": 2})
@@ -407,6 +417,7 @@ assert rec["schema"] == "xtsim-bench-v1", f"bad schema: {rec.get('schema')}"
 assert rec["quick"] is True, "quick run must record quick=true"
 benches = rec["benches"]
 for name in (
+    "des_events/spawn_join_100k",
     "des_events/flow_lanes_4k",
     "fluid_pool/flows_1k",
     "fluid_pool/flows_10k",

@@ -10,8 +10,8 @@ use xtsim_net::{ContentionModel, PlatformConfig};
 /// Seconds in a simulated calendar year (365.25 days).
 pub const SECS_PER_YEAR: f64 = 365.25 * 86400.0;
 
-/// Build a job world for an app run: compact partition, automatic collective
-/// mode, counting contention for big jobs.
+/// Build a job world for an app run: compact partition, modeled collectives
+/// above 128 ranks, counting contention above 256.
 pub fn app_job(machine: &MachineSpec, mode: ExecMode, ranks: usize) -> WorldConfig {
     let mut spec = machine.clone();
     let nodes = ranks.div_ceil(spec.ranks_per_node(mode));

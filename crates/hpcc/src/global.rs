@@ -10,20 +10,13 @@
 use rand::Rng;
 use xtsim_machine::{ExecMode, MachineSpec};
 use xtsim_mpi::{simulate, CollectiveMode, Message, WorldConfig};
-use xtsim_net::ContentionModel;
 
 use crate::util::{job, ranks_for_sockets};
 use xtsim_kernels::lu::hpl_flops;
 use xtsim_kernels::workmodel;
 
 fn global_job(machine: &MachineSpec, mode: ExecMode, ranks: usize) -> WorldConfig {
-    let mut cfg = job(machine, mode, ranks, CollectiveMode::Modeled);
-    // Fluid max-min sharing is exact but O(flows·links); the global
-    // benchmarks put thousands of concurrent flows on the wire.
-    if ranks > 256 {
-        cfg.platform.contention = ContentionModel::Counting;
-    }
-    cfg
+    job(machine, mode, ranks, CollectiveMode::Modeled)
 }
 
 /// HPL (Figure 8): blocked right-looking LU over `sockets` sockets. The

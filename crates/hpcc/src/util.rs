@@ -12,7 +12,9 @@ pub fn job(machine: &MachineSpec, mode: ExecMode, ranks: usize, coll: Collective
     spec.torus_dims = fit_dims(nodes);
     let mut platform = PlatformConfig::new(spec, mode, ranks);
     // Exact fluid sharing up to ~128 ranks; the counting model beyond (a
-    // 512-rank ring of 2 MB messages floods the fluid solver otherwise).
+    // 512-rank ring of 2 MB messages floods the fluid solver otherwise, and
+    // the global benchmarks put thousands of concurrent flows on the wire,
+    // where fluid max-min sharing costs O(flows·links) per change).
     if ranks > 128 {
         platform.contention = xtsim_net::ContentionModel::Counting;
     }
@@ -33,7 +35,12 @@ mod tests {
 
     #[test]
     fn job_shrinks_torus_to_fit() {
-        let cfg = job(&presets::xt4(), ExecMode::VN, 16, CollectiveMode::Auto);
+        let cfg = job(
+            &presets::xt4(),
+            ExecMode::VN,
+            16,
+            CollectiveMode::Algorithmic,
+        );
         // 16 VN ranks = 8 nodes -> 2x2x2.
         assert_eq!(cfg.platform.spec.torus_dims, [2, 2, 2]);
     }

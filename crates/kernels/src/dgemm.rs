@@ -1,8 +1,7 @@
 //! Dense double-precision matrix multiply (the HPCC DGEMM kernel, the
 //! update step of HPL, and the ScaLAPACK-style solver in the AORSA proxy).
 //!
-//! Row-major storage. The blocked kernel tiles for cache; with the
-//! `parallel` feature the outer block loop fans out over Rayon.
+//! Row-major storage. The blocked kernel tiles for cache.
 
 /// `C += A * B` — naive triple loop (test oracle and small-problem path).
 pub fn dgemm_naive(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
@@ -23,28 +22,12 @@ pub fn dgemm_naive(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
 pub fn dgemm(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     const BLOCK: usize = 64;
     assert!(a.len() >= n * n && b.len() >= n * n && c.len() >= n * n);
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        // Parallelize over row blocks; each block of C is owned by one task.
-        c.par_chunks_mut(BLOCK * n)
-            .enumerate()
-            .for_each(|(bi, cchunk)| {
-                let i0 = bi * BLOCK;
-                let rows = cchunk.len() / n;
-                block_panel(n, i0, rows, a, b, cchunk);
-            });
-        return;
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut i0 = 0;
-        while i0 < n {
-            let rows = BLOCK.min(n - i0);
-            let cchunk = &mut c[i0 * n..(i0 + rows) * n];
-            block_panel(n, i0, rows, a, b, cchunk);
-            i0 += BLOCK;
-        }
+    let mut i0 = 0;
+    while i0 < n {
+        let rows = BLOCK.min(n - i0);
+        let cchunk = &mut c[i0 * n..(i0 + rows) * n];
+        block_panel(n, i0, rows, a, b, cchunk);
+        i0 += BLOCK;
     }
 }
 

@@ -5,6 +5,7 @@
 //! local and global network performance."
 
 use crate::spec::{ExecMode, MachineSpec};
+use crate::NicCost;
 
 /// The balance ratios of one machine in one execution mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,15 +26,10 @@ pub fn balance(machine: &MachineSpec, mode: ExecMode) -> Balance {
     let active = machine.ranks_per_node(mode) as f64;
     let core_flops = machine.processor.core_peak_flops();
     let mem_bw = machine.memory.stream_bw_socket_gbs * 1e9 / active;
-    let inj = machine.nic.injection_bw_gbs * 1e9 / active;
+    let nic = NicCost::new(machine, mode);
+    let inj = nic.injection_bps() / active;
     let gups = machine.memory.random_gups_socket / active;
-    let o = (machine.nic.sw_overhead_us
-        + if mode == ExecMode::VN {
-            machine.nic.vn_extra_overhead_us
-        } else {
-            0.0
-        })
-        * 1e-6;
+    let o = nic.message_overhead_s();
     Balance {
         mem_bytes_per_flop: mem_bw / core_flops,
         net_bytes_per_flop: inj / core_flops,

@@ -14,7 +14,6 @@
 
 use std::cell::RefCell;
 use xtsim_des::{Notify, SimDuration, SimHandle, SimTime};
-use xtsim_machine::ExecMode;
 use xtsim_net::Platform;
 
 use crate::message::{Message, ReduceOp};
@@ -139,17 +138,15 @@ pub(crate) enum CollShape {
 /// Latency terms use the platform's per-message estimate (which includes VN
 /// software penalties); an extra `ranks_per_node` factor models NIC
 /// serialization when both cores participate. Bandwidth terms are bounded by
-/// the injection port and, for all-to-all patterns, the torus bisection.
+/// the injection port and, for all-to-all patterns, the torus bisection;
+/// every NIC price comes from the platform's [`xtsim_machine::NicCost`].
 pub(crate) fn modeled_time(platform: &Platform, p: usize, shape: CollShape) -> SimDuration {
-    let spec = platform.spec();
-    let rpn = match platform.mode() {
-        ExecMode::SN => 1.0,
-        ExecMode::VN => spec.processor.cores_per_socket as f64,
-    };
+    let nic = platform.nic_cost();
+    let rpn = platform.spec().ranks_per_node(platform.mode()) as f64;
     let rounds = (p.max(2) as f64).log2().ceil();
     let t0 = platform.message_time_estimate(0).as_secs_f64() * rpn;
-    let inj_dir = spec.nic.injection_bw_gbs * 1e9 / 2.0 / rpn;
-    let bis_bw = platform.torus().bisection_links() as f64 * spec.nic.link_bw_gbs * 1e9;
+    let inj_dir = nic.injection_dir_bps() / rpn;
+    let bis_bw = nic.links_bps(platform.torus().bisection_links());
     let secs = match shape {
         CollShape::Barrier => rounds * t0,
         // Tree latency plus a pipelined (scatter/allgather-style) bandwidth

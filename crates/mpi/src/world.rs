@@ -38,10 +38,9 @@ pub enum CollectiveMode {
     Algorithmic,
     /// Use an analytic time model with a synchronization gate: O(ranks) per
     /// collective instead of O(ranks · log ranks) messages. Reductions still
-    /// combine real data. For very large jobs (POP at 22,000 ranks).
+    /// combine real data. For very large jobs (POP at 22,000 ranks); the
+    /// application proxies pick it above 128 ranks.
     Modeled,
-    /// Algorithmic up to 4,096 ranks, modeled beyond.
-    Auto,
 }
 
 /// Configuration for [`World::new`].
@@ -54,11 +53,11 @@ pub struct WorldConfig {
 }
 
 impl WorldConfig {
-    /// Sensible defaults: auto collective mode.
+    /// Sensible defaults: algorithmic collectives.
     pub fn new(platform: PlatformConfig) -> Self {
         WorldConfig {
             platform,
-            collectives: CollectiveMode::Auto,
+            collectives: CollectiveMode::Algorithmic,
         }
     }
 }
@@ -111,11 +110,7 @@ impl World {
     pub fn new(handle: SimHandle, config: WorldConfig) -> World {
         let ranks = config.platform.ranks;
         let platform = Platform::new(handle, config.platform);
-        let modeled = match config.collectives {
-            CollectiveMode::Algorithmic => false,
-            CollectiveMode::Modeled => true,
-            CollectiveMode::Auto => ranks > 4096,
-        };
+        let modeled = config.collectives == CollectiveMode::Modeled;
         World {
             inner: Rc::new(WorldInner {
                 platform,
@@ -290,7 +285,7 @@ impl Mpi {
 
     async fn send_inner(&self, dst: Rank, tag: Tag, msg: Message) {
         let world = &self.world;
-        let eager_limit = world.platform.spec().nic.eager_threshold_bytes;
+        let eager_limit = world.platform.nic_cost().eager_threshold_bytes();
         if msg.bytes <= eager_limit {
             world.platform.transmit(self.rank, dst, msg.bytes).await;
             deposit(
@@ -516,7 +511,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtsim_machine::presets;
+    use xtsim_machine::{presets, NicCost};
     use xtsim_net::ContentionModel;
 
     pub(crate) fn tiny_config(ranks: usize, mode: ExecMode) -> WorldConfig {
@@ -598,6 +593,44 @@ mod tests {
         assert!(out.end_time.as_secs_f64() > 100e-6);
         // RTS + CTS + payload = 3 wire messages.
         assert_eq!(out.traffic.messages, 3);
+    }
+
+    #[test]
+    fn rendezvous_costs_three_nic_priced_messages() {
+        // One hop, receiver posted at once: an eager message costs one
+        // closed-form NicCost message, one byte more costs three (RTS, CTS,
+        // payload). On XT4 that byte adds 7.701 µs in SN and 16.101 µs in
+        // VN, while `message_time_estimate` adds its flat
+        // `rendezvous_latency_us` (6 µs) and the byte.
+        for mode in [ExecMode::SN, ExecMode::VN] {
+            let cfg = tiny_config(4, mode);
+            let cost = NicCost::new(&cfg.platform.spec, mode);
+            // Rank `peer` is the first rank on node 1.
+            let peer = cfg.platform.spec.ranks_per_node(mode);
+            let price = |bytes: u64| {
+                let side = SimDuration::from_secs_f64(cost.side_overhead_s());
+                let hop = SimDuration::from_secs_f64(cost.hop_latency_s(1.0));
+                let wire_bps = cost.injection_dir_bps().min(cost.links_bps(1));
+                side + hop + SimDuration::from_secs_f64(bytes as f64 / wire_bps) + side
+            };
+            let time = |bytes: u64| {
+                let out = simulate(0, cfg.clone(), move |mpi| async move {
+                    if mpi.rank() == 0 {
+                        mpi.send(peer, 0, Message::of_bytes(bytes)).await;
+                    } else if mpi.rank() == peer {
+                        mpi.recv(Some(0), Some(0)).await;
+                    }
+                });
+                out.end_time - SimTime::ZERO
+            };
+            let eager = cost.eager_threshold_bytes();
+            assert_eq!(time(eager), price(eager), "{mode} eager");
+            assert_eq!(
+                time(eager + 1),
+                price(0) + price(0) + price(eager + 1),
+                "{mode} rendezvous"
+            );
+        }
     }
 
     #[test]

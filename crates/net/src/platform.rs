@@ -10,7 +10,7 @@
 //! * [`Platform::transmit`] — move a message between ranks, paying NIC
 //!   software overhead (serialized through the node's NIC in VN mode), router
 //!   hop latency, and a bandwidth phase over the injection port and torus
-//!   links.
+//!   links. Every one of these prices comes from the job's [`NicCost`].
 //!
 //! Two contention models are available for the bandwidth phase:
 //! [`ContentionModel::Fluid`] (exact max-min sharing, for small/medium runs)
@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use xtsim_des::trace::{self, SpanCategory};
 use xtsim_des::{join2, FifoStation, FluidPool, LinkId, RebalanceStats, SimDuration, SimHandle};
-use xtsim_machine::{ExecMode, MachineSpec, WorkPacket};
+use xtsim_machine::{ExecMode, MachineSpec, NicCost, WorkPacket};
 
 use crate::torus::{NodeId, Torus3D, TorusLink};
 
@@ -36,7 +36,8 @@ pub enum ContentionModel {
     /// torus link (FluidPool). Accurate; O(flows × links-in-use) per change.
     Fluid,
     /// Active-flow counters per link, sampled when the message starts.
-    /// Approximate but O(hops) per message; use for >~4k-rank runs.
+    /// Approximate but O(hops) per message. The HPCC benchmarks pick it above
+    /// 128 ranks and the application proxies above 256.
     Counting,
 }
 
@@ -66,19 +67,15 @@ pub struct PlatformConfig {
 }
 
 impl PlatformConfig {
-    /// Convenience constructor with block placement and automatic contention
-    /// model choice (fluid up to 2,048 ranks, counting beyond).
+    /// Convenience constructor with block placement and the exact
+    /// [`ContentionModel::Fluid`]; a caller that runs large jobs sets
+    /// [`ContentionModel::Counting`] itself.
     pub fn new(spec: MachineSpec, mode: ExecMode, ranks: usize) -> Self {
-        let contention = if ranks <= 2048 {
-            ContentionModel::Fluid
-        } else {
-            ContentionModel::Counting
-        };
         PlatformConfig {
             spec,
             mode,
             ranks,
-            contention,
+            contention: ContentionModel::Fluid,
             placement: Placement::Block,
         }
     }
@@ -100,6 +97,11 @@ struct PlatformInner {
     spec: MachineSpec,
     mode: ExecMode,
     contention: ContentionModel,
+    /// NIC prices of this machine in this mode, and the two overheads every
+    /// message pays, rounded once to the clock.
+    cost: NicCost,
+    side_overhead: SimDuration,
+    intra_overhead: SimDuration,
     torus: Torus3D,
     rank_node: Vec<NodeId>,
     /// Per-node NIC processing station (1 server: the paper's shared-NIC
@@ -163,6 +165,7 @@ impl Platform {
             })
             .collect();
         let used_nodes = rank_node.iter().copied().max().unwrap_or(0) + 1;
+        let cost = NicCost::new(&spec, mode);
 
         let nic: Vec<FifoStation> = (0..used_nodes)
             .map(|_| FifoStation::new(handle.clone(), 1))
@@ -181,10 +184,10 @@ impl Platform {
         let (net_pool, inj, ej, links) = match contention {
             ContentionModel::Fluid => {
                 let pool = FluidPool::new(handle.clone());
-                let inj_dir = spec.nic.injection_bw_gbs * 1e9 / 2.0;
+                let inj_dir = cost.injection_dir_bps();
                 let inj: Vec<LinkId> = (0..used_nodes).map(|_| pool.add_link(inj_dir)).collect();
                 let ej: Vec<LinkId> = (0..used_nodes).map(|_| pool.add_link(inj_dir)).collect();
-                let link_bw = spec.nic.link_bw_gbs * 1e9;
+                let link_bw = cost.links_bps(1);
                 let links: Vec<LinkId> = (0..torus.link_count())
                     .map(|_| pool.add_link(link_bw))
                     .collect();
@@ -199,6 +202,9 @@ impl Platform {
                 spec,
                 mode,
                 contention,
+                cost,
+                side_overhead: SimDuration::from_secs_f64(cost.side_overhead_s()),
+                intra_overhead: SimDuration::from_secs_f64(cost.intra_overhead_s()),
                 link_load: RefCell::new(vec![0; torus.link_count()]),
                 inj_load: RefCell::new(vec![0; used_nodes]),
                 ej_load: RefCell::new(vec![0; used_nodes]),
@@ -231,6 +237,11 @@ impl Platform {
     /// Execution mode of this job.
     pub fn mode(&self) -> ExecMode {
         self.inner.mode
+    }
+
+    /// NIC prices of this machine in this job's mode.
+    pub fn nic_cost(&self) -> &NicCost {
+        &self.inner.cost
     }
 
     /// Number of ranks in the job.
@@ -295,24 +306,12 @@ impl Platform {
         }
     }
 
-    /// Pure-math estimate of an uncontended message time (used by modeled
-    /// collectives): overheads + mean-hop router latency + bandwidth term.
+    /// Pure-math estimate of an uncontended message time over this torus's
+    /// mean hop count (used by modeled collectives), rounded to the clock:
+    /// [`NicCost::message_estimate_s`].
     pub fn message_time_estimate(&self, bytes: u64) -> SimDuration {
-        let spec = &self.inner.spec;
-        let o = spec.nic.sw_overhead_us
-            + if self.inner.mode == ExecMode::VN {
-                spec.nic.vn_extra_overhead_us
-            } else {
-                0.0
-            };
         let hops = self.inner.torus.mean_hops();
-        let lat_s = o * 1e-6 + hops * spec.nic.per_hop_ns * 1e-9;
-        let bw = (spec.nic.injection_bw_gbs * 1e9 / 2.0).min(spec.nic.link_bw_gbs * 1e9);
-        let mut t = lat_s + bytes as f64 / bw;
-        if bytes > spec.nic.eager_threshold_bytes {
-            t += spec.nic.rendezvous_latency_us * 1e-6;
-        }
-        SimDuration::from_secs_f64(t)
+        SimDuration::from_secs_f64(self.inner.cost.message_estimate_s(bytes, hops))
     }
 
     /// Move `bytes` of payload from `src` to `dst`, resolving when the last
@@ -364,15 +363,13 @@ impl Platform {
     /// the paper), with half the network software overhead.
     async fn transmit_intra(&self, node: NodeId, bytes: u64) {
         let inner = &self.inner;
-        let spec = &inner.spec;
-        let o = spec.nic.sw_overhead_us * 0.5e-6;
-        inner.handle.sleep(SimDuration::from_secs_f64(o)).await;
+        inner.handle.sleep(inner.intra_overhead).await;
         if bytes > 0 {
             inner.mem_pools[node]
                 .transfer(
                     &[inner.mem_stream[node]],
                     bytes as f64,
-                    Some(spec.nic.memcpy_bw_gbs * 1e9),
+                    Some(inner.cost.memcpy_bps()),
                 )
                 .await;
         }
@@ -380,25 +377,14 @@ impl Platform {
 
     async fn transmit_inter(&self, src_node: NodeId, dst_node: NodeId, bytes: u64) {
         let inner = &self.inner;
-        let spec = &inner.spec;
-        let vn_extra = if inner.mode == ExecMode::VN {
-            spec.nic.vn_extra_overhead_us * 0.5
-        } else {
-            0.0
-        };
-        let o_side = SimDuration::from_secs_f64((spec.nic.sw_overhead_us * 0.5 + vn_extra) * 1e-6);
 
         // Send-side software overhead, serialized through the source NIC.
-        inner.nic[src_node].serve(o_side).await;
+        inner.nic[src_node].serve(inner.side_overhead).await;
 
         // Router traversal.
         let hops = inner.torus.hops(src_node, dst_node);
-        inner
-            .handle
-            .sleep(SimDuration::from_secs_f64(
-                hops as f64 * spec.nic.per_hop_ns * 1e-9,
-            ))
-            .await;
+        let hop_latency = SimDuration::from_secs_f64(inner.cost.hop_latency_s(hops as f64));
+        inner.handle.sleep(hop_latency).await;
 
         // Bandwidth phase.
         if bytes > 0 {
@@ -458,7 +444,7 @@ impl Platform {
         }
 
         // Receive-side software overhead, serialized through the destination NIC.
-        inner.nic[dst_node].serve(o_side).await;
+        inner.nic[dst_node].serve(inner.side_overhead).await;
     }
 
     /// Counting-model bandwidth phase duration: the message runs at the
@@ -472,9 +458,8 @@ impl Platform {
         hops: &[TorusLink],
     ) -> SimDuration {
         let inner = &self.inner;
-        let spec = &inner.spec;
-        let inj_dir = spec.nic.injection_bw_gbs * 1e9 / 2.0;
-        let link_bw = spec.nic.link_bw_gbs * 1e9;
+        let inj_dir = inner.cost.injection_dir_bps();
+        let link_bw = inner.cost.links_bps(1);
         let inj_flows = (inner.inj_load.borrow()[src_node] + 1) as f64;
         let ej_flows = (inner.ej_load.borrow()[dst_node] + 1) as f64;
         let mut max_link_load = 1u32;

@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
-# CI gate: lint, build, the repository benchmark's smoke run, full test
-# suite (includes the golden-figure regression harness, the sweep-engine
-# determinism/cache tests, the two-tier cache interleaving property tests,
-# the observability trace/metrics consistency tests, and the cache-key and
-# JSON-string property tests), then a cache-disabled quick-scale smoke run
-# of the figures binary itself, a trace/metrics export smoke, a dispatch-
-# order check (largest cost hint first), CLI validation checks (bad tokens,
-# missing values, uncreatable output paths), a serve smoke with a parallel-clients phase over the
+# CI gate: lockfile freshness, lint, build, the repository benchmark's
+# smoke run, full test suite (includes the golden-figure regression
+# harness, the sweep-engine determinism/cache tests, the two-tier cache
+# interleaving property tests, the observability trace/metrics consistency
+# tests, and the cache-key and JSON-string property tests), then a
+# cache-disabled quick-scale smoke run of the figures binary itself, a
+# trace/metrics export smoke, a dispatch-order check (largest cost hint
+# first), CLI validation checks (bad tokens, missing values, uncreatable
+# output paths), a serve smoke with a parallel-clients phase over the
 # shared memory tier and a too-deeply-nested body probe, and the bench gate
 # (including the >=2x memory-vs-disk cache acceptance check, the same-
 # instant flow-lane bench that guards the executor's indexed lanes, and the
 # spawn/join bench that guards its task storage).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== lockfiles up to date =="
+# A manifest edit whose Cargo.lock update was not committed must fail here,
+# not be rewritten silently by the runner's cargo. The second call only
+# reads benchmark/.
+cargo metadata --locked --offline --format-version 1 >/dev/null
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

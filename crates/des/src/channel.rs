@@ -1,133 +1,15 @@
-//! Intra-simulation message channels.
+//! Intra-simulation one-shot channels.
 //!
-//! These carry *payloads between simulated entities at the same instant* —
-//! they model shared memory inside one simulated component, not the network.
-//! Network delays are imposed by whoever sends (sleeping for the modelled
-//! transfer time before or after pushing into a channel).
+//! A [`oneshot`] carries *one payload between simulated entities at the same
+//! instant* — it models shared memory inside one simulated component, not
+//! the network. Network delays are imposed by whoever sends (sleeping for
+//! the modelled transfer time before or after sending).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-struct ChanState<T> {
-    queue: VecDeque<T>,
-    recv_wakers: Vec<Waker>,
-    senders: usize,
-}
-
-/// Unbounded sender half created by [`channel`].
-pub struct Sender<T> {
-    state: Rc<RefCell<ChanState<T>>>,
-}
-
-/// Receiver half created by [`channel`].
-pub struct Receiver<T> {
-    state: Rc<RefCell<ChanState<T>>>,
-}
-
-/// Error returned by [`Receiver::recv`] when all senders are gone and the
-/// queue is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "channel closed: all senders dropped")
-    }
-}
-impl std::error::Error for RecvError {}
-
-/// Create an unbounded FIFO channel.
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let state = Rc::new(RefCell::new(ChanState {
-        queue: VecDeque::new(),
-        recv_wakers: Vec::new(),
-        senders: 1,
-    }));
-    (
-        Sender {
-            state: Rc::clone(&state),
-        },
-        Receiver { state },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueue a value and wake any pending receiver.
-    pub fn send(&self, value: T) {
-        let mut st = self.state.borrow_mut();
-        st.queue.push_back(value);
-        for w in st.recv_wakers.drain(..) {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.state.borrow_mut().senders += 1;
-        Sender {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.senders -= 1;
-        if st.senders == 0 {
-            for w in st.recv_wakers.drain(..) {
-                w.wake();
-            }
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Await the next value.
-    pub fn recv(&self) -> Recv<'_, T> {
-        Recv { rx: self }
-    }
-
-    /// Pop a value without waiting, if one is queued.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued values.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no values are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Result<T, RecvError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.rx.state.borrow_mut();
-        if let Some(v) = st.queue.pop_front() {
-            return Poll::Ready(Ok(v));
-        }
-        if st.senders == 0 {
-            return Poll::Ready(Err(RecvError));
-        }
-        st.recv_wakers.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
 
 /// One-shot channel: a single value, sent once.
 pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
@@ -155,7 +37,8 @@ pub struct OneshotSender<T> {
     state: Rc<RefCell<OneshotState<T>>>,
 }
 
-/// Receiving half of a [`oneshot`] channel.
+/// Receiving half of a [`oneshot`] channel: awaiting it yields the sent
+/// value, or `None` once the sender is dropped without sending.
 pub struct OneshotReceiver<T> {
     state: Rc<RefCell<OneshotState<T>>>,
 }
@@ -182,14 +65,14 @@ impl<T> Drop for OneshotSender<T> {
 }
 
 impl<T> Future for OneshotReceiver<T> {
-    type Output = Result<T, RecvError>;
+    type Output = Option<T>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut st = self.state.borrow_mut();
         if let Some(v) = st.value.take() {
-            return Poll::Ready(Ok(v));
+            return Poll::Ready(Some(v));
         }
         if st.closed {
-            return Poll::Ready(Err(RecvError));
+            return Poll::Ready(None);
         }
         st.waker = Some(cx.waker().clone());
         Poll::Pending
@@ -203,48 +86,6 @@ mod tests {
     use crate::time::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let mut sim = Sim::new(0);
-        let (tx, rx) = channel::<u32>();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let got2 = Rc::clone(&got);
-        sim.spawn(async move {
-            for _ in 0..3 {
-                let v = rx.recv().await.unwrap();
-                got2.borrow_mut().push(v);
-            }
-        });
-        let h = sim.handle();
-        sim.spawn(async move {
-            for i in 0..3 {
-                tx.send(i);
-                h.sleep(SimDuration::from_ns(1)).await;
-            }
-        });
-        sim.run();
-        assert_eq!(*got.borrow(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn recv_after_close_errors() {
-        let mut sim = Sim::new(0);
-        let (tx, rx) = channel::<u32>();
-        let ok = Rc::new(RefCell::new(false));
-        let ok2 = Rc::clone(&ok);
-        sim.spawn(async move {
-            tx.send(7);
-            drop(tx);
-        });
-        sim.spawn(async move {
-            assert_eq!(rx.recv().await, Ok(7));
-            assert_eq!(rx.recv().await, Err(RecvError));
-            *ok2.borrow_mut() = true;
-        });
-        sim.run();
-        assert!(*ok.borrow());
-    }
 
     #[test]
     fn oneshot_roundtrip() {
@@ -268,34 +109,10 @@ mod tests {
         let done = Rc::new(RefCell::new(false));
         let d = Rc::clone(&done);
         sim.spawn(async move {
-            assert!(rx.await.is_err());
+            assert!(rx.await.is_none());
             *d.borrow_mut() = true;
         });
         sim.run();
         assert!(*done.borrow());
-    }
-
-    #[test]
-    fn multi_sender_counts() {
-        let mut sim = Sim::new(0);
-        let (tx, rx) = channel::<u32>();
-        let tx2 = tx.clone();
-        sim.spawn(async move {
-            tx.send(1);
-            drop(tx);
-        });
-        sim.spawn(async move {
-            tx2.send(2);
-            drop(tx2);
-        });
-        let sum = Rc::new(RefCell::new(0));
-        let s = Rc::clone(&sum);
-        sim.spawn(async move {
-            while let Ok(v) = rx.recv().await {
-                *s.borrow_mut() += v;
-            }
-        });
-        sim.run();
-        assert_eq!(*sum.borrow(), 3);
     }
 }

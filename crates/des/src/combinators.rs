@@ -2,7 +2,7 @@
 //!
 //! The simulation deliberately avoids an external futures dependency; these
 //! are the only combinators the higher layers need: joining concurrent
-//! activities (compute overlapping communication) and racing two futures.
+//! activities (compute overlapping communication).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -131,42 +131,6 @@ impl<F: Future> Future for JoinAll<F> {
     }
 }
 
-/// Race two futures; resolves with the first to finish (the loser is dropped).
-pub fn select2<A, B>(a: A, b: B) -> Select2<A, B>
-where
-    A: Future + Unpin,
-    B: Future + Unpin,
-{
-    Select2 { a, b }
-}
-
-/// Which side of a [`select2`] finished first.
-pub enum Either<A, B> {
-    /// The first future won.
-    Left(A),
-    /// The second future won.
-    Right(B),
-}
-
-/// Future returned by [`select2`].
-pub struct Select2<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: Future + Unpin, B: Future + Unpin> Future for Select2<A, B> {
-    type Output = Either<A::Output, B::Output>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Poll::Ready(v) = Pin::new(&mut self.a).poll(cx) {
-            return Poll::Ready(Either::Left(v));
-        }
-        if let Poll::Ready(v) = Pin::new(&mut self.b).poll(cx) {
-            return Poll::Ready(Either::Right(v));
-        }
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,25 +175,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*out.borrow(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn select2_returns_winner() {
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let winner = Rc::new(RefCell::new(String::new()));
-        let w = Rc::clone(&winner);
-        sim.spawn(async move {
-            let fast = h.sleep(SimDuration::from_us(1));
-            let slow = h.sleep(SimDuration::from_us(5));
-            match select2(fast, slow).await {
-                Either::Left(()) => *w.borrow_mut() = "fast".into(),
-                Either::Right(()) => *w.borrow_mut() = "slow".into(),
-            }
-            assert_eq!(h.now().as_ps(), 1_000_000);
-        });
-        sim.run();
-        assert_eq!(*winner.borrow(), "fast");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   the order the sleeping tasks first polled (for freshly spawned tasks:
 //!   spawn order).
 //! * [`SimHandle::call_at`] — scheduled immediately at call time.
-//! * Channel/oneshot/`Notify`/semaphore wakes — not events at all: wakers go
+//! * Oneshot/`Notify`/barrier wakes — not events at all: wakers go
 //!   straight onto the ready FIFO and run at the *current* instant, ordered
 //!   by wake order.
 //! * Fluid-pool completions ([`crate::FluidPool`]) — the one exception: a
@@ -503,11 +503,6 @@ impl SimHandle {
         self.sleep_until(self.now() + dur)
     }
 
-    /// Yield to let every other currently-ready task run once at this instant.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow { yielded: false }
-    }
-
     /// Spawn a new task. The returned [`JoinHandle`] resolves to the task's output.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let state: Rc<RefCell<JoinState<T>>> = Rc::new(RefCell::new(JoinState {
@@ -634,24 +629,6 @@ impl Future for Sleep {
     }
 }
 
-/// Future returned by [`SimHandle::yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 /// A deterministic discrete-event simulation.
 pub struct Sim {
     handle: SimHandle,
@@ -686,10 +663,11 @@ impl Sim {
 
     /// Run until no ready tasks and no pending events remain.
     ///
-    /// Returns the final simulated time. Panics if the run ends with live
-    /// tasks still blocked (a deadlock in the simulated program), because a
-    /// silently half-finished simulation would corrupt every measurement
-    /// derived from it.
+    /// Returns the instant of the last event popped, which can be a stale
+    /// fluid completion firing after every task has finished. Panics if the
+    /// run ends with live tasks still blocked (a deadlock in the simulated
+    /// program), because a silently half-finished simulation would corrupt
+    /// every measurement derived from it.
     pub fn run(&mut self) -> SimTime {
         let core = &self.handle.core;
         loop {
@@ -839,25 +817,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*hits.borrow(), 10);
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Sim::new(0);
-        let h = sim.handle();
-        let l1 = Rc::clone(&log);
-        sim.spawn(async move {
-            l1.borrow_mut().push("a1");
-            h.yield_now().await;
-            l1.borrow_mut().push("a2");
-        });
-        let l2 = Rc::clone(&log);
-        sim.spawn(async move {
-            l2.borrow_mut().push("b1");
-        });
-        sim.run();
-        assert_eq!(*log.borrow(), vec!["a1", "b1", "a2"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`Sim`] / [`SimHandle`] — event heap, task executor, timers, spawning,
 //!   deterministic RNG streams.
-//! * [`channel`] / [`oneshot`] — intra-simulation message queues.
+//! * [`oneshot`] — a single value handed between simulated tasks.
 //! * [`FifoStation`] — `k`-server FCFS queueing station (NICs, metadata
 //!   servers, disks).
 //! * [`FluidPool`] — max-min fair bandwidth sharing over capacitated links
@@ -38,11 +38,11 @@ mod sync;
 mod time;
 pub mod trace;
 
-pub use channel::{channel, oneshot, OneshotReceiver, OneshotSender, Receiver, RecvError, Sender};
-pub use combinators::{join2, join_all, select2, Either, Join2, JoinAll, Select2};
-pub use executor::{JoinHandle, Sim, SimHandle, Sleep, YieldNow};
+pub use channel::{oneshot, OneshotReceiver, OneshotSender};
+pub use combinators::{join2, join_all, Join2, JoinAll};
+pub use executor::{JoinHandle, Sim, SimHandle, Sleep};
 pub use fluid::{FluidPool, LinkId, RebalanceStats, Transfer};
 pub use resource::FifoStation;
-pub use sync::{Notify, Semaphore, SemaphoreGuard, SimBarrier};
+pub use sync::{Notify, SimBarrier};
 pub use trace::{Span, SpanCategory, TraceData, TraceSummary};
 pub use time::{SimDuration, SimTime, PS_PER_SEC};

@@ -73,13 +73,6 @@ impl FifoStation {
         waited
     }
 
-    /// Instant at which a request arriving now would *start* service.
-    pub fn next_start(&self) -> SimTime {
-        let st = self.state.borrow();
-        let free = st.free_at.peek().map_or(SimTime::ZERO, |&Reverse(t)| t);
-        free.max(self.handle.now())
-    }
-
     /// Total service time dispensed so far (for utilization reporting).
     pub fn busy_time(&self) -> SimDuration {
         self.state.borrow().busy_time

@@ -5,7 +5,6 @@
 //! protect data from races.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -39,11 +38,6 @@ impl Notify {
         }
     }
 
-    /// True if [`set`](Notify::set) has been called.
-    pub fn is_set(&self) -> bool {
-        self.state.borrow().set
-    }
-
     /// Wait until the flag is set.
     pub fn wait(&self) -> NotifyWait {
         NotifyWait {
@@ -66,93 +60,6 @@ impl Future for NotifyWait {
         } else {
             st.wakers.push(cx.waker().clone());
             Poll::Pending
-        }
-    }
-}
-
-/// A counting semaphore with FIFO fairness.
-#[derive(Clone)]
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<(u64, Waker)>,
-    next_ticket: u64,
-    next_to_serve: u64,
-}
-
-impl Semaphore {
-    /// Create with `permits` initially available.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: VecDeque::new(),
-                next_ticket: 0,
-                next_to_serve: 0,
-            })),
-        }
-    }
-
-    /// Acquire one permit; resolves to a guard that releases on drop.
-    pub async fn acquire(&self) -> SemaphoreGuard {
-        let ticket = {
-            let mut st = self.state.borrow_mut();
-            let t = st.next_ticket;
-            st.next_ticket += 1;
-            t
-        };
-        Acquire {
-            state: Rc::clone(&self.state),
-            ticket,
-        }
-        .await;
-        SemaphoreGuard {
-            state: Rc::clone(&self.state),
-        }
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-}
-
-struct Acquire {
-    state: Rc<RefCell<SemState>>,
-    ticket: u64,
-}
-
-impl Future for Acquire {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.state.borrow_mut();
-        if st.permits > 0 && self.ticket == st.next_to_serve {
-            st.permits -= 1;
-            st.next_to_serve += 1;
-            Poll::Ready(())
-        } else {
-            // Re-register (replace any stale entry for this ticket).
-            st.waiters.retain(|(t, _)| *t != self.ticket);
-            st.waiters.push_back((self.ticket, cx.waker().clone()));
-            Poll::Pending
-        }
-    }
-}
-
-/// Guard returned by [`Semaphore::acquire`]; releases its permit when dropped.
-pub struct SemaphoreGuard {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Drop for SemaphoreGuard {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.permits += 1;
-        if let Some((_, w)) = st.waiters.pop_front() {
-            w.wake();
         }
     }
 }
@@ -271,51 +178,6 @@ mod tests {
         });
         sim.run();
         assert!(*done.borrow());
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let mut sim = Sim::new(0);
-        let sem = Semaphore::new(2);
-        let peak = Rc::new(RefCell::new((0usize, 0usize))); // (current, max)
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let peak = Rc::clone(&peak);
-            let h = sim.handle();
-            sim.spawn(async move {
-                let _g = sem.acquire().await;
-                {
-                    let mut p = peak.borrow_mut();
-                    p.0 += 1;
-                    p.1 = p.1.max(p.0);
-                }
-                h.sleep(SimDuration::from_us(10)).await;
-                peak.borrow_mut().0 -= 1;
-            });
-        }
-        sim.run();
-        assert_eq!(peak.borrow().1, 2);
-    }
-
-    #[test]
-    fn semaphore_is_fifo() {
-        let mut sim = Sim::new(0);
-        let sem = Semaphore::new(1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..4 {
-            let sem = sem.clone();
-            let order = Rc::clone(&order);
-            let h = sim.handle();
-            sim.spawn(async move {
-                // Stagger arrivals so the queue order is well-defined.
-                h.sleep(SimDuration::from_ns(i as u64)).await;
-                let _g = sem.acquire().await;
-                order.borrow_mut().push(i);
-                h.sleep(SimDuration::from_us(1)).await;
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3]);
     }
 
     #[test]

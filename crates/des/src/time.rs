@@ -113,12 +113,6 @@ impl SimDuration {
         self.0 as f64 / PS_PER_SEC as f64
     }
 
-    /// Microseconds as `f64` (lossy; for reporting).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1.0e6
-    }
-
     /// Saturating integer multiply.
     #[inline]
     pub fn saturating_mul(self, k: u64) -> SimDuration {

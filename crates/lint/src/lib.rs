@@ -5,8 +5,9 @@
 //! byte-identically across serial/parallel sweeps and across PRs — rests on
 //! an invariant the compiler does not enforce: simulator crates must be free
 //! of nondeterminism sources. This crate enforces it mechanically with a
-//! dependency-free token-pattern pass (hand-rolled lexer, no `syn`; the
-//! build container is offline, like the `crates/compat` shims).
+//! token-pattern pass over a hand-rolled lexer (no `syn`; the build
+//! container is offline). Its only dependencies are the workspace
+//! `serde`/`serde_json` shims, for the JSON report, call graph and baseline.
 //!
 //! Rule catalog (see `lint.toml` for path scoping; `--explain RULE` for
 //! rationale, examples, and suppression syntax):
@@ -27,7 +28,10 @@
 //! The last four are interprocedural: a recursive-descent signature parser
 //! ([`parser`]) builds a workspace-wide approximate call graph ([`graph`];
 //! unresolved edges are recorded, never guessed) and [`interproc`] walks it.
-//! Their diagnostics carry the full witness call chain.
+//! Their diagnostics carry the full witness call chain. One recognizer,
+//! `rules::recognize`, decides which tokens read the wall clock, draw OS
+//! entropy, or call `.unwrap()`/`.expect()`: the token rules report them and
+//! the parser records them as the facts those walks start from.
 //!
 //! Suppression is an inline `// xtsim-lint: allow(<rule>, "<why>")` comment
 //! or a committed `lint-baseline.json`; unused allows and stale baseline

@@ -3,7 +3,8 @@
 //! nesting, `impl` blocks (including `impl Trait for Type` inside function
 //! bodies), `fn` signatures, and per-body call sites, lock acquisitions, and
 //! determinism-relevant "facts" (wall-clock reads, ambient RNG, panic
-//! sources, blocking primitives).
+//! sources, blocking primitives). Wall-clock, RNG and `.unwrap()`/`.expect()`
+//! facts come from `rules::recognize`, the token rules' own recognizer.
 //!
 //! Like the lexer, the parser never fails: malformed input degrades to
 //! fewer recognized items, never to a panic. It is deliberately *not* a
@@ -12,7 +13,7 @@
 //! as unresolved rather than guessed.
 
 use crate::lexer::{Tok, Token};
-use crate::rules::FileContext;
+use crate::rules::{recognize, FileContext, Hazard};
 
 /// One `fn` with a body, as indexed for the call graph.
 #[derive(Debug, Clone)]
@@ -468,6 +469,18 @@ impl<'a, 'b> Parser<'a, 'b> {
         let Some(name) = t.ident() else { return };
         let (line, col) = (t.line, t.col);
 
+        // Wall-clock, RNG and `.unwrap()`/`.expect()` facts: the token rules'
+        // own recognizer, so the two passes cannot drift apart.
+        if let Some(h) = recognize(self.ctx, i) {
+            let (kind, what) = match h {
+                Hazard::Clock | Hazard::Timer => (FactKind::Wallclock, name.to_string()),
+                Hazard::Entropy => (FactKind::Rng, name.to_string()),
+                Hazard::Unwrap => (FactKind::Panic, format!(".{name}()")),
+            };
+            let allowed = self.fact_allowed(h.rule(), line);
+            decl.facts.push(Fact { kind, what, line, col, allowed });
+        }
+
         // Macro invocation `name!(…)` / `name![…]` / `name!{…}`.
         if i + 1 < end && self.ct(i + 1).is_punct('!') {
             if PANIC_MACROS.contains(&name) {
@@ -480,36 +493,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                 });
             }
             return;
-        }
-
-        // Wallclock facts (mirror the token rule's patterns).
-        let wallclock = match name {
-            "Instant" => {
-                i + 3 < end
-                    && self.ct(i + 1).is_punct(':')
-                    && self.ct(i + 2).is_punct(':')
-                    && self.ct(i + 3).is_ident("now")
-            }
-            "SystemTime" | "UNIX_EPOCH" | "Stopwatch" | "start_timer" | "observe_since" => true,
-            _ => false,
-        };
-        if wallclock {
-            decl.facts.push(Fact {
-                kind: FactKind::Wallclock,
-                what: name.to_string(),
-                line,
-                col,
-                allowed: self.fact_allowed(crate::rules::rule_id::WALLCLOCK_IN_SIM, line),
-            });
-        }
-        if crate::rules::AMBIENT_RNG_IDENTS.contains(&name) {
-            decl.facts.push(Fact {
-                kind: FactKind::Rng,
-                what: name.to_string(),
-                line,
-                col,
-                allowed: self.fact_allowed(crate::rules::rule_id::AMBIENT_RNG, line),
-            });
         }
 
         // Calls: `name(` with optional turbofish, method/path/plain.
@@ -573,16 +556,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             qual.reverse();
         }
 
-        // Panic facts for `.unwrap()` / `.expect(…)`.
-        if is_method && matches!(name, "unwrap" | "expect") {
-            decl.facts.push(Fact {
-                kind: FactKind::Panic,
-                what: format!(".{name}()"),
-                line,
-                col,
-                allowed: self.fact_allowed(crate::rules::rule_id::PANIC_IN_HOT_PATH, line),
-            });
-        }
         // Blocking facts: Condvar waits, `thread::sleep`, zero-arg std locks.
         let zero_args = self.ct(after).is_punct('(') && after + 1 < end && self.ct(after + 1).is_punct(')');
         let blocking = (is_method && CONDVAR_WAITS.contains(&name))

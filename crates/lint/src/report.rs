@@ -6,18 +6,22 @@
 //! suppresses at most one finding, and entries that no longer match any
 //! finding are reported as stale so the baseline only ever shrinks.
 //!
-//! JSON in and out is hand-rolled (this crate is dependency-free); the
-//! emitted document is `xtsim-lint-v2` (v1 plus per-finding witness call
-//! chains), validated structurally by `scripts/ci.sh`. Baselines are written
-//! as `xtsim-lint-baseline-v2` (adds an optional `function` key so
+//! JSON in and out goes through the workspace `serde`/`serde_json` shims,
+//! so object keys come out sorted and a baseline nested deeper than the
+//! shim's cap is a parse error, not a stack overflow. The emitted document
+//! is `xtsim-lint-v2` (v1 plus per-finding witness call chains), validated
+//! structurally by `scripts/ci.sh`. Baselines are written as
+//! `xtsim-lint-baseline-v2` (adds an optional `function` key so
 //! interprocedural findings baseline per-function); the v1 baseline format
 //! is still accepted on read.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::graph::CallGraph;
-use crate::rules::{Finding, Severity};
+use serde::{Deserialize, Serialize, Value};
+
+use crate::graph::{CallGraph, Unresolved};
+use crate::rules::{ChainHop, Finding, Severity};
 
 /// Why a finding is not being acted on.
 #[derive(Debug, Clone)]
@@ -143,71 +147,40 @@ impl Report {
 
     /// Render the `xtsim-lint-v2` JSON document.
     pub fn json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open_obj();
-        w.field_str("schema", "xtsim-lint-v2");
-        w.field_str("root", &self.root);
-        w.field_num("files_scanned", self.files_scanned as f64);
-        w.key("findings");
-        w.open_arr();
-        for f in &self.findings {
-            write_finding(&mut w, f);
-        }
-        w.close_arr();
-        w.key("suppressed");
-        w.open_arr();
-        for s in &self.suppressed {
-            w.open_obj();
-            finding_fields(&mut w, &s.finding);
-            match &s.how {
-                SuppressedHow::Allow { reason } => {
-                    w.field_str("how", "allow");
-                    w.field_str("reason", reason);
-                }
-                SuppressedHow::Baseline => w.field_str("how", "baseline"),
-            }
-            w.close_obj();
-        }
-        w.close_arr();
-        w.key("unsafe_inventory");
-        w.open_obj();
-        for (krate, count) in &self.unsafe_inventory {
-            w.field_num(krate, *count as f64);
-        }
-        w.close_obj();
-        w.key("stale_baseline");
-        w.open_arr();
-        for e in &self.stale_baseline {
-            w.open_obj();
-            w.field_str("file", &e.file);
-            w.field_str("rule", &e.rule);
-            w.field_str("snippet", &e.snippet);
-            w.close_obj();
-        }
-        w.close_arr();
-        w.key("summary");
-        w.open_obj();
-        w.field_num("errors", self.count(Severity::Error) as f64);
-        w.field_num("warnings", self.count(Severity::Warn) as f64);
-        w.field_num("notes", self.count(Severity::Note) as f64);
-        w.field_num(
-            "allowed",
-            self.suppressed
-                .iter()
-                .filter(|s| matches!(s.how, SuppressedHow::Allow { .. }))
-                .count() as f64,
-        );
-        w.field_num(
-            "baselined",
-            self.suppressed
-                .iter()
-                .filter(|s| matches!(s.how, SuppressedHow::Baseline))
-                .count() as f64,
-        );
-        w.field_num("stale_baseline", self.stale_baseline.len() as f64);
-        w.close_obj();
-        w.close_obj();
-        w.finish()
+        let allowed = self
+            .suppressed
+            .iter()
+            .filter(|s| matches!(s.how, SuppressedHow::Allow { .. }))
+            .count();
+        let stale = self
+            .stale_baseline
+            .iter()
+            .map(|e| {
+                obj(vec![
+                    ("file", e.file.to_value()),
+                    ("rule", e.rule.to_value()),
+                    ("snippet", e.snippet.to_value()),
+                ])
+            })
+            .collect();
+        let summary = obj(vec![
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warn).into()),
+            ("notes", self.count(Severity::Note).into()),
+            ("allowed", allowed.into()),
+            ("baselined", (self.suppressed.len() - allowed).into()),
+            ("stale_baseline", self.stale_baseline.len().into()),
+        ]);
+        to_json(obj(vec![
+            ("schema", "xtsim-lint-v2".into()),
+            ("root", self.root.to_value()),
+            ("files_scanned", self.files_scanned.into()),
+            ("findings", self.findings.to_value()),
+            ("suppressed", self.suppressed.to_value()),
+            ("unsafe_inventory", self.unsafe_inventory.to_value()),
+            ("stale_baseline", Value::Array(stale)),
+            ("summary", summary),
+        ]))
     }
 
     /// Render a fresh baseline holding every *fatal-grade* finding of this
@@ -226,52 +199,11 @@ impl Report {
             })
             .collect();
         entries.sort();
-        let mut w = JsonWriter::new();
-        w.open_obj();
-        w.field_str("schema", "xtsim-lint-baseline-v2");
-        w.key("findings");
-        w.open_arr();
-        for e in &entries {
-            w.open_obj();
-            w.field_str("file", &e.file);
-            w.field_str("rule", &e.rule);
-            w.field_str("snippet", &e.snippet);
-            if let Some(func) = &e.function {
-                w.field_str("function", func);
-            }
-            w.close_obj();
-        }
-        w.close_arr();
-        w.close_obj();
-        w.finish()
+        to_json(obj(vec![
+            ("schema", "xtsim-lint-baseline-v2".into()),
+            ("findings", entries.to_value()),
+        ]))
     }
-}
-
-fn write_finding(w: &mut JsonWriter, f: &Finding) {
-    w.open_obj();
-    finding_fields(w, f);
-    w.close_obj();
-}
-
-fn finding_fields(w: &mut JsonWriter, f: &Finding) {
-    w.field_str("file", &f.file);
-    w.field_num("line", f.line as f64);
-    w.field_num("col", f.col as f64);
-    w.field_str("rule", f.rule);
-    w.field_str("severity", f.severity.as_str());
-    w.field_str("message", &f.message);
-    w.field_str("suggestion", &f.suggestion);
-    w.field_str("snippet", &f.snippet);
-    w.key("chain");
-    w.open_arr();
-    for h in &f.chain {
-        w.open_obj();
-        w.field_str("function", &h.function);
-        w.field_str("file", &h.file);
-        w.field_num("line", h.line as f64);
-        w.close_obj();
-    }
-    w.close_arr();
 }
 
 /// Render the `--call-graph` artifact (`xtsim-callgraph-v1`): every function
@@ -279,57 +211,39 @@ fn finding_fields(w: &mut JsonWriter, f: &Finding) {
 /// calls with their reasons, and honesty counters for what resolution
 /// skipped.
 pub fn callgraph_json(g: &CallGraph) -> String {
-    let mut w = JsonWriter::new();
-    w.open_obj();
-    w.field_str("schema", "xtsim-callgraph-v1");
-    w.key("functions");
-    w.open_arr();
-    for (i, f) in g.fns.iter().enumerate() {
-        w.open_obj();
-        w.field_num("id", i as f64);
-        w.field_str("function", &f.display());
-        w.field_str("module", &f.module.join("::"));
-        w.field_str("file", &f.file);
-        w.field_num("line", f.line as f64);
-        w.key("calls");
-        w.open_arr();
-        for e in &g.edges[i] {
-            w.open_obj();
-            w.field_num("to", e.to as f64);
-            w.field_num("line", e.line as f64);
-            w.close_obj();
-        }
-        w.close_arr();
-        w.close_obj();
-    }
-    w.close_arr();
-    w.key("unresolved");
-    w.open_arr();
-    for u in &g.unresolved {
-        w.open_obj();
-        w.field_num("from", u.from as f64);
-        w.field_str("name", &u.name);
-        w.field_num("line", u.line as f64);
-        w.field_str("reason", &u.reason);
-        w.close_obj();
-    }
-    w.close_arr();
-    w.key("stats");
-    w.open_obj();
-    w.field_num("functions", g.fns.len() as f64);
-    w.field_num(
-        "edges",
-        g.edges.iter().map(Vec::len).sum::<usize>() as f64,
-    );
-    w.field_num("unresolved", g.unresolved.len() as f64);
-    w.field_num("external_calls", g.external_calls as f64);
-    w.field_num(
-        "denylisted_method_calls",
-        g.denylisted_method_calls as f64,
-    );
-    w.close_obj();
-    w.close_obj();
-    w.finish()
+    let functions = g
+        .fns
+        .iter()
+        .zip(&g.edges)
+        .enumerate()
+        .map(|(id, (f, edges))| {
+            let calls = edges
+                .iter()
+                .map(|e| obj(vec![("to", e.to.into()), ("line", e.line.into())]))
+                .collect();
+            obj(vec![
+                ("id", id.into()),
+                ("function", f.display().into()),
+                ("module", f.module.join("::").into()),
+                ("file", f.file.to_value()),
+                ("line", f.line.into()),
+                ("calls", Value::Array(calls)),
+            ])
+        })
+        .collect();
+    let stats = obj(vec![
+        ("functions", g.fns.len().into()),
+        ("edges", g.edges.iter().map(Vec::len).sum::<usize>().into()),
+        ("unresolved", g.unresolved.len().into()),
+        ("external_calls", g.external_calls.into()),
+        ("denylisted_method_calls", g.denylisted_method_calls.into()),
+    ]);
+    to_json(obj(vec![
+        ("schema", "xtsim-callgraph-v1".into()),
+        ("functions", Value::Array(functions)),
+        ("unresolved", g.unresolved.to_value()),
+        ("stats", stats),
+    ]))
 }
 
 /// Parse `lint-baseline.json`. Both the current `xtsim-lint-baseline-v2`
@@ -337,321 +251,100 @@ pub fn callgraph_json(g: &CallGraph) -> String {
 /// `function` key (they predate the interprocedural rules, whose findings
 /// are the only ones that set it).
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let value = json_parse(text)?;
-    let obj = value.as_obj().ok_or("baseline root must be an object")?;
-    match obj.get("schema").and_then(JsonValue::as_str) {
+    let value = serde_json::from_str::<Value>(text).map_err(|e| e.to_string())?;
+    let obj = value.as_object().ok_or("baseline root must be an object")?;
+    match obj.get("schema").and_then(Value::as_str) {
         Some("xtsim-lint-baseline-v1" | "xtsim-lint-baseline-v2") => {}
         other => return Err(format!("unsupported baseline schema {other:?}")),
     }
-    let findings = obj
-        .get("findings")
-        .and_then(JsonValue::as_arr)
-        .ok_or("baseline missing `findings` array")?;
-    let mut out = Vec::new();
-    for f in findings {
-        let f = f.as_obj().ok_or("baseline finding must be an object")?;
-        let get = |k: &str| -> Result<String, String> {
-            f.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("baseline finding missing string `{k}`"))
+    let findings = obj.get("findings").ok_or("baseline missing `findings` array")?;
+    Vec::from_value(findings).map_err(|e| e.context("findings").to_string())
+}
+
+// ---------------------------------------------------------------------------
+// JSON forms
+
+/// A JSON object from `(key, value)` pairs; the shim writes keys sorted.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// Compact JSON text plus a trailing newline.
+fn to_json(doc: Value) -> String {
+    serde_json::to_string(&doc).expect("a JSON value always serializes") + "\n"
+}
+
+serde::impl_serde_struct!(ChainHop { function, file, line });
+serde::impl_serde_struct!(Unresolved { from, name, line, reason });
+
+/// The fields of a finding, shared by `findings` and `suppressed` entries.
+fn finding_fields(f: &Finding) -> Vec<(&'static str, Value)> {
+    vec![
+        ("file", f.file.to_value()),
+        ("line", f.line.into()),
+        ("col", f.col.into()),
+        ("rule", f.rule.into()),
+        ("severity", f.severity.as_str().into()),
+        ("message", f.message.to_value()),
+        ("suggestion", f.suggestion.to_value()),
+        ("snippet", f.snippet.to_value()),
+        ("chain", f.chain.to_value()),
+    ]
+}
+
+impl Serialize for Finding {
+    fn to_value(&self) -> Value {
+        obj(finding_fields(self))
+    }
+}
+
+impl Serialize for Suppressed {
+    fn to_value(&self) -> Value {
+        let mut fields = finding_fields(&self.finding);
+        match &self.how {
+            SuppressedHow::Allow { reason } => {
+                fields.push(("how", "allow".into()));
+                fields.push(("reason", reason.to_value()));
+            }
+            SuppressedHow::Baseline => fields.push(("how", "baseline".into())),
+        }
+        obj(fields)
+    }
+}
+
+/// The `function` key is written only when set, so token findings keep the
+/// v1 entry shape.
+impl Serialize for BaselineEntry {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("file", self.file.to_value()),
+            ("rule", self.rule.to_value()),
+            ("snippet", self.snippet.to_value()),
+        ];
+        if let Some(function) = &self.function {
+            fields.push(("function", function.to_value()));
+        }
+        obj(fields)
+    }
+}
+
+impl Deserialize for BaselineEntry {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let f = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("baseline finding must be an object"))?;
+        let get = |k: &str| f.get(k).and_then(Value::as_str).map(str::to_string);
+        let need = |k: &str| {
+            let why = || serde::Error::msg(format!("baseline finding missing string `{k}`"));
+            get(k).ok_or_else(why)
         };
-        out.push(BaselineEntry {
-            file: get("file")?,
-            rule: get("rule")?,
-            snippet: get("snippet")?,
-            function: f.get("function").and_then(JsonValue::as_str).map(str::to_string),
-        });
+        Ok(BaselineEntry {
+            file: need("file")?,
+            rule: need("rule")?,
+            snippet: need("snippet")?,
+            function: get("function"),
+        })
     }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON emitter
-
-struct JsonWriter {
-    buf: String,
-    /// Per open container: has a member been emitted yet?
-    stack: Vec<bool>,
-    /// A key was just written; the next member is its value (no comma).
-    after_key: bool,
-}
-
-impl JsonWriter {
-    fn new() -> Self {
-        JsonWriter { buf: String::new(), stack: Vec::new(), after_key: false }
-    }
-
-    fn pre_member(&mut self) {
-        if self.after_key {
-            self.after_key = false;
-            return;
-        }
-        if let Some(started) = self.stack.last_mut() {
-            if *started {
-                self.buf.push(',');
-            }
-            *started = true;
-        }
-    }
-
-    fn open_obj(&mut self) {
-        self.pre_member();
-        self.buf.push('{');
-        self.stack.push(false);
-    }
-
-    fn close_obj(&mut self) {
-        self.stack.pop();
-        self.buf.push('}');
-    }
-
-    fn open_arr(&mut self) {
-        self.pre_member();
-        self.buf.push('[');
-        self.stack.push(false);
-    }
-
-    fn close_arr(&mut self) {
-        self.stack.pop();
-        self.buf.push(']');
-    }
-
-    fn key(&mut self, k: &str) {
-        self.pre_member();
-        self.push_string(k);
-        self.buf.push(':');
-        self.after_key = true;
-    }
-
-    fn field_str(&mut self, k: &str, v: &str) {
-        self.pre_member();
-        self.push_string(k);
-        self.buf.push(':');
-        self.push_string(v);
-    }
-
-    fn field_num(&mut self, k: &str, v: f64) {
-        self.pre_member();
-        self.push_string(k);
-        self.buf.push(':');
-        if v.fract() == 0.0 && v.abs() < 9e15 {
-            let _ = write!(self.buf, "{}", v as i64);
-        } else {
-            let _ = write!(self.buf, "{v}");
-        }
-    }
-
-    fn push_string(&mut self, s: &str) {
-        self.buf.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\r' => self.buf.push_str("\\r"),
-                '\t' => self.buf.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.buf, "\\u{:04x}", c as u32);
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('\n');
-        self.buf
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (baseline files only)
-
-enum JsonValue {
-    Str(String),
-    /// Numbers are parsed for well-formedness; no baseline field reads one.
-    Num(#[allow(dead_code)] f64),
-    Bool,
-    Null,
-    Arr(Vec<JsonValue>),
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-fn json_parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = json_value(bytes, &mut pos)?;
-    json_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn json_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn json_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    json_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'"') => Ok(JsonValue::Str(json_string(b, pos)?)),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            json_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(map));
-            }
-            loop {
-                json_ws(b, pos);
-                let key = json_string(b, pos)?;
-                json_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = json_value(b, pos)?;
-                map.insert(key, val);
-                json_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            json_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(arr));
-            }
-            loop {
-                arr.push(json_value(b, pos)?);
-                json_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool)
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool)
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(JsonValue::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn json_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("short \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        // Baselines never contain surrogate pairs (snippets
-                        // are re-escaped plain text); map lone surrogates to
-                        // U+FFFD rather than failing.
-                        out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("bad escape \\{}", other as char)),
-                }
-            }
-            _ => {
-                // Collect the remaining bytes of a UTF-8 sequence.
-                let start = *pos - 1;
-                while *pos < b.len() && b[*pos] & 0xC0 == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?,
-                );
-            }
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 #[cfg(test)]
@@ -716,14 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_are_symmetric() {
-        let mut w = JsonWriter::new();
-        w.open_obj();
-        w.field_str("k", "a\"b\\c\nd\te");
-        w.close_obj();
-        let text = w.finish();
-        let v = json_parse(&text).unwrap();
-        assert_eq!(v.as_obj().unwrap()["k"].as_str().unwrap(), "a\"b\\c\nd\te");
+    fn deeply_nested_baseline_is_an_error_not_a_stack_overflow() {
+        let err = parse_baseline(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -207,10 +207,8 @@ impl<'a> FileContext<'a> {
 pub fn run_rules(ctx: &FileContext, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     nondet_map_iter(ctx, cfg, &mut out);
-    wallclock_in_sim(ctx, cfg, &mut out);
-    ambient_rng(ctx, cfg, &mut out);
+    hazard_tokens(ctx, cfg, &mut out);
     refcell_reentrant_borrow(ctx, cfg, &mut out);
-    panic_in_hot_path(ctx, cfg, &mut out);
     unsafe_without_safety_comment(ctx, cfg, &mut out);
     thread_shared_mut(ctx, cfg, &mut out);
     malformed_allow_comments(ctx, &mut out);
@@ -628,40 +626,101 @@ fn for_loop_over_map(ctx: &FileContext, i: usize, map_vars: &BTreeSet<String>) -
 }
 
 // ---------------------------------------------------------------------------
-// wallclock-in-sim
+// hazard tokens: wallclock-in-sim, ambient-rng, panic-in-hot-path
 
-fn wallclock_in_sim(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.rule_allows(rule_id::WALLCLOCK_IN_SIM, ctx.path) {
-        return;
-    }
-    let n = ctx.code.len();
-    for i in 0..n {
-        let t = ctx.ct(i);
-        if ctx.is_test_line(t.line) {
-            continue;
+/// Identifiers that seed an RNG from OS entropy.
+const AMBIENT_RNG_IDENTS: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "from_os_rng"];
+
+/// A token that reads the wall clock, draws OS entropy, or may panic through
+/// `.unwrap()`/`.expect()`. [`recognize`] is the only place these patterns
+/// live: [`run_rules`] reports each one under its rule, and the parser
+/// records the ones inside `fn` bodies as facts that seed the
+/// interprocedural rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hazard {
+    /// `Instant::now`, `SystemTime`, `UNIX_EPOCH`.
+    Clock,
+    /// The xtsim-obs wall-clock timers: `Stopwatch`, `start_timer`,
+    /// `observe_since`.
+    Timer,
+    /// One of [`AMBIENT_RNG_IDENTS`].
+    Entropy,
+    /// A `.unwrap()` or `.expect(…)` call.
+    Unwrap,
+}
+
+impl Hazard {
+    /// The rule that reports this hazard (and whose inline allow excuses it).
+    pub(crate) fn rule(self) -> &'static str {
+        match self {
+            Hazard::Clock | Hazard::Timer => rule_id::WALLCLOCK_IN_SIM,
+            Hazard::Entropy => rule_id::AMBIENT_RNG,
+            Hazard::Unwrap => rule_id::PANIC_IN_HOT_PATH,
         }
-        let flagged = match t.ident() {
-            // Only the *call* reads the clock; a bare import is harmless.
-            Some("Instant") => {
-                i + 3 < n
-                    && ctx.ct(i + 1).is_punct(':')
-                    && ctx.ct(i + 2).is_punct(':')
-                    && ctx.ct(i + 3).is_ident("now")
-            }
-            Some("SystemTime") | Some("UNIX_EPOCH") => true,
-            _ => false,
-        };
+    }
+}
+
+/// Is the code token at index `i` a [`Hazard`]?
+pub(crate) fn recognize(ctx: &FileContext, i: usize) -> Option<Hazard> {
+    let name = ctx.ct(i).ident()?;
+    let next = |k: usize| ctx.code.get(i + k).map(|&t| &ctx.tokens[t]);
+    let hazard = match name {
+        // Only the *call* reads the clock; a bare import is harmless.
+        "Instant"
+            if next(1)?.is_punct(':') && next(2)?.is_punct(':') && next(3)?.is_ident("now") =>
+        {
+            Hazard::Clock
+        }
+        "SystemTime" | "UNIX_EPOCH" => Hazard::Clock,
         // The xtsim-obs telemetry API is a wall clock behind a nicer name:
         // Stopwatch wraps Instant, start_timer/observe_since record elapsed
         // wall time. Flagging the tokens keeps sim crates from laundering a
         // clock read through the metrics layer.
-        let telemetry_timer =
-            matches!(t.ident(), Some("Stopwatch" | "start_timer" | "observe_since"));
-        if flagged {
-            let what = t.ident().unwrap_or_default().to_string();
+        "Stopwatch" | "start_timer" | "observe_since" => Hazard::Timer,
+        "unwrap" | "expect" if i >= 1 && ctx.ct(i - 1).is_punct('.') && next(1)?.is_punct('(') => {
+            Hazard::Unwrap
+        }
+        _ if AMBIENT_RNG_IDENTS.contains(&name) => Hazard::Entropy,
+        _ => return None,
+    };
+    Some(hazard)
+}
+
+/// Report every recognized [`Hazard`] outside test code, under its rule's
+/// path scoping (`.unwrap()`/`.expect()` only in hot paths), plus
+/// `panic-in-hot-path`'s indexing notes. This stays a per-file token pass
+/// rather than the zero-hop case of the interprocedural rules: the parser
+/// only sees `fn` bodies, so `static T: LazyLock<Instant> =
+/// LazyLock::new(Instant::now);` would otherwise go unflagged.
+fn hazard_tokens(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
+    let hot = cfg.is_hot_path(ctx.path) && !cfg.rule_allows(rule_id::PANIC_IN_HOT_PATH, ctx.path);
+    for i in 0..ctx.code.len() {
+        let t = ctx.ct(i);
+        if ctx.is_test_line(t.line) {
+            continue;
+        }
+        let what = t.ident().unwrap_or_default();
+        // `ident[…]` indexing — note (informational: slab indexing is the
+        // engine's idiom; bounds panics are still panics, so inventory it).
+        if hot && t.ident().is_some() && i + 1 < ctx.code.len() && ctx.ct(i + 1).is_punct('[') {
             out.push(ctx.finding(
                 i,
-                rule_id::WALLCLOCK_IN_SIM,
+                rule_id::PANIC_IN_HOT_PATH,
+                Severity::Note,
+                format!("indexing `{what}[…]` in a DES hot path can panic on out-of-bounds"),
+                "informational: use get()/get_mut() where a miss is reachable",
+            ));
+        }
+        let Some(h) = recognize(ctx, i) else { continue };
+        let in_scope = match h {
+            Hazard::Unwrap => hot,
+            _ => !cfg.rule_allows(h.rule(), ctx.path),
+        };
+        if !in_scope {
+            continue;
+        }
+        let (severity, message, suggestion) = match h {
+            Hazard::Clock => (
                 Severity::Error,
                 format!(
                     "`{what}` reads the wall clock; simulation results must depend only on \
@@ -669,12 +728,8 @@ fn wallclock_in_sim(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                 ),
                 "use SimHandle::now() for simulated time; wall-clock *measurement* belongs in \
                  the paths allowlisted under [allow.wallclock-in-sim] in lint.toml",
-            ));
-        } else if telemetry_timer {
-            let what = t.ident().unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i,
-                rule_id::WALLCLOCK_IN_SIM,
+            ),
+            Hazard::Timer => (
                 Severity::Error,
                 format!(
                     "`{what}` is a wall-clock telemetry timer (xtsim-obs); calling it here \
@@ -682,31 +737,8 @@ fn wallclock_in_sim(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                 ),
                 "record latencies from the harness side (sweep engine, serve layer) or \
                  allowlist the measurement under [allow.wallclock-in-sim] in lint.toml",
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ambient-rng
-
-pub(crate) const AMBIENT_RNG_IDENTS: [&str; 4] =
-    ["thread_rng", "from_entropy", "OsRng", "from_os_rng"];
-
-fn ambient_rng(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-    if cfg.rule_allows(rule_id::AMBIENT_RNG, ctx.path) {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        let t = ctx.ct(i);
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        if t.ident().is_some_and(|s| AMBIENT_RNG_IDENTS.contains(&s)) {
-            let what = t.ident().unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i,
-                rule_id::AMBIENT_RNG,
+            ),
+            Hazard::Entropy => (
                 Severity::Error,
                 format!(
                     "`{what}` draws OS entropy; simulations must use seeded, deterministic \
@@ -714,8 +746,18 @@ fn ambient_rng(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
                 ),
                 "thread seeds through JobKey/MachineSpec so reruns reproduce; entropy is only \
                  acceptable in test scaffolding",
-            ));
-        }
+            ),
+            Hazard::Unwrap => (
+                Severity::Warn,
+                format!(
+                    "`.{what}()` in a DES hot path; a panic mid-event-dispatch aborts the \
+                     whole simulation"
+                ),
+                "prefer returning/propagating, or document the invariant in the expect \
+                 message and baseline it (lint-baseline.json)",
+            ),
+        };
+        out.push(ctx.finding(i, h.rule(), severity, message, suggestion));
     }
 }
 
@@ -875,56 +917,6 @@ fn token_text(tok: &Tok) -> String {
         Tok::Str => "\"…\"".to_string(),
         Tok::Char => "'…'".to_string(),
         Tok::LineComment(_) | Tok::BlockComment(_) => String::new(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// panic-in-hot-path
-
-fn panic_in_hot_path(ctx: &FileContext, cfg: &Config, out: &mut Vec<Finding>) {
-    if !cfg.is_hot_path(ctx.path) || cfg.rule_allows(rule_id::PANIC_IN_HOT_PATH, ctx.path) {
-        return;
-    }
-    let n = ctx.code.len();
-    for i in 0..n {
-        let t = ctx.ct(i);
-        if ctx.is_test_line(t.line) {
-            continue;
-        }
-        // `.unwrap()` / `.expect(` — warn.
-        if i >= 1
-            && i + 1 < n
-            && ctx.ct(i - 1).is_punct('.')
-            && ctx.ct(i + 1).is_punct('(')
-            && matches!(t.ident(), Some("unwrap") | Some("expect"))
-        {
-            let what = t.ident().unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i,
-                rule_id::PANIC_IN_HOT_PATH,
-                Severity::Warn,
-                format!(
-                    "`.{what}()` in a DES hot path; a panic mid-event-dispatch aborts the \
-                     whole simulation"
-                ),
-                "prefer returning/propagating, or document the invariant in the expect \
-                 message and baseline it (lint-baseline.json)",
-            ));
-        }
-        // `ident[…]` indexing — note (informational: slab indexing is the
-        // engine's idiom; bounds panics are still panics, so inventory it).
-        if i + 1 < n && t.ident().is_some() && ctx.ct(i + 1).is_punct('[') {
-            out.push(ctx.finding(
-                i,
-                rule_id::PANIC_IN_HOT_PATH,
-                Severity::Note,
-                format!(
-                    "indexing `{}[…]` in a DES hot path can panic on out-of-bounds",
-                    t.ident().unwrap_or_default()
-                ),
-                "informational: use get()/get_mut() where a miss is reachable",
-            ));
-        }
     }
 }
 

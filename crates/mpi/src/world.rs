@@ -439,7 +439,10 @@ fn deposit(world: &WorldInner, dst: Rank, env: Envelope) {
 /// Outcome of [`simulate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SimOutcome {
-    /// Simulated time at which the last rank finished.
+    /// Instant of the last event the run popped ([`Sim::run`]'s return).
+    /// That is usually when the last rank finished, but not always: a fluid
+    /// completion superseded when its flow sped up stays queued and fires
+    /// as a no-op later, so this can lie past the last rank's finish.
     pub end_time: SimTime,
     /// Wire traffic totals.
     pub traffic: TrafficStats,

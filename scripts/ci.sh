@@ -94,6 +94,18 @@ rec = json.load(open(sys.argv[1]))
 s = rec["summary"]
 assert s["stale_baseline"] == 2, f"v1 sample: expected both entries stale, got {s['stale_baseline']}"
 EOF
+# A baseline nested deeper than the JSON reader's cap (200,000 `[`) must be
+# a usage error, exit 2 naming the depth, not a stack-overflow abort.
+python3 -c 'print("[" * 200000, end="")' > "$out/deep-baseline.json"
+rc=0
+err="$(target/release/xtsim-lint --workspace --baseline "$out/deep-baseline.json" 2>&1 >/dev/null)" || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "deep baseline: expected exit 2, got $rc"; echo "$err"; exit 1
+fi
+case "$err" in
+    *"nesting deeper than 128"*) ;;
+    *) echo "deep baseline: error does not name the nesting depth:"; echo "$err"; exit 1;;
+esac
 rm -rf "$out"
 
 echo "== build (release) =="

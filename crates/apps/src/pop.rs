@@ -191,9 +191,10 @@ pub fn pop(machine: &MachineSpec, mode: ExecMode, tasks: usize, solver: Solver) 
     })
 }
 
-/// Cross-check used by the figure harness: the iteration counts and the 2:1
-/// reduction ratio come from the *real* solvers on a reduced version of the
-/// same operator.
+/// Reductions per iteration of standard CG over those of the
+/// Chronopoulos–Gear variant, both *real* solvers run on a reduced version
+/// of the same operator. Only this module's unit test calls it, to check
+/// the 2:1 ratio that [`Solver::reductions_per_iter`] models.
 pub fn solver_reduction_ratio() -> f64 {
     use xtsim_kernels::cg::{cg, cg_chronopoulos_gear, laplacian_2d};
     let a = laplacian_2d(60, 40);

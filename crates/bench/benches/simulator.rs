@@ -269,7 +269,7 @@ fn cache_spec(n_jobs: usize, floats: usize) -> xtsim::sweep::FigureSpec {
 }
 
 /// Two-tier cache path costs: cold miss (compute + store), warm disk hit
-/// (read + parse + verify, hot tier off), warm memory hit (shard lookup +
+/// (read + parse + verify, hot tier off), warm memory hit (map lookup +
 /// verify only), and an 8-thread concurrent mixed load/store. The
 /// acceptance gate for the hot tier is `warm_memory_hit` at least 2x
 /// faster than `warm_disk_hit` — checked by `scripts/ci.sh` against the
@@ -297,7 +297,7 @@ fn bench_cache(c: &mut Criterion) {
 
     // Warm disk: entries on disk, hot tier disabled (cap 0) — every lookup
     // reads and parses the entry file. The cache handle is built once
-    // outside the timed loop so open-time work (migration scan, tmp sweep)
+    // outside the timed loop so open-time work (the tmp-file sweep)
     // doesn't dilute the lookup cost being measured.
     let disk_dir = root.join("warm-disk");
     {
@@ -312,7 +312,7 @@ fn bench_cache(c: &mut Criterion) {
     });
 
     // Warm memory: same corpus, hot tier enabled and pre-promoted — every
-    // lookup is a shard probe + key comparison, no filesystem or parse.
+    // lookup is a map probe + key comparison, no filesystem or parse.
     let mem_dir = root.join("warm-mem");
     {
         let cfg = SweepConfig::serial()
@@ -325,8 +325,8 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| run_figure(cache_spec(n_jobs, floats), &mem_cfg).0);
     });
 
-    // 8 threads hammering one shared cache with a 3:1 load:store mix across
-    // all shards: the shard-contention figure for concurrent serve traffic.
+    // 8 threads hammering one shared cache with a 3:1 load:store mix: the
+    // lock-contention figure for concurrent serve traffic.
     let mixed_dir = root.join("mixed");
     let mixed = DiskCache::with_mem_cap(&mixed_dir, 64 * 1024 * 1024).unwrap();
     let keys: Vec<xtsim::sweep::PreparedKey> = {

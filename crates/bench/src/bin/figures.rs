@@ -15,10 +15,10 @@
 //! cached engine (`xtsim::sweep`): `--jobs N` runs N worker threads (default:
 //! available parallelism), and results are cached content-addressed under
 //! `results/cache/` (override with `--cache-dir`, disable with `--no-cache`)
-//! so a rerun only recomputes what changed. The cache is two-tier: a sharded
-//! in-memory LRU hot tier (budget `--cache-mem-cap`, sizes like `64m`/`512k`,
-//! `0` disables; default 64 MiB) over the on-disk store. Output is
-//! byte-identical for any `--jobs` value, warm or cold, whatever the cap.
+//! so a rerun only recomputes what changed. The cache, opened once for all
+//! figures, is two-tier: an in-memory LRU hot tier (`--cache-mem-cap`, e.g.
+//! `64m`/`512k`, `0` disables; default 64 MiB) over the on-disk store. Output
+//! is byte-identical for any `--jobs` value, warm or cold, whatever the cap.
 //!
 //! Results are printed and also written to `DIR` (default `results/`) as
 //! `<id>.csv` and `<id>.json`. Output locations are created before the first
@@ -201,20 +201,20 @@ fn main() {
             create_output_dir("--metrics", parent);
         }
     }
+    let cfg = make_config(&args);
     println!(
         "# Cray XT4 evaluation reproduction — regenerating {} figure(s) at {} scale ({} worker{}, cache {})\n",
         figures.len(),
         args.scale.label(),
         args.jobs,
         if args.jobs == 1 { "" } else { "s" },
-        if args.cache { "on" } else { "off" },
+        if cfg.cache.is_some() { "on" } else { "off" },
     );
     let mut total_computed = 0usize;
     let mut total_cached = 0usize;
     let mut all_metrics: Vec<FigureMetrics> = Vec::new();
     let t_all = std::time::Instant::now();
     for fig in figures {
-        let cfg = make_config(&args);
         let (result, stats) = run_figure(fig.spec(args.scale), &cfg);
         println!("{}", result.render());
         println!(

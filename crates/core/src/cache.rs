@@ -1,28 +1,26 @@
-//! Two-tier content-addressed result cache: a process-wide sharded
-//! in-memory hot tier with byte-bounded LRU eviction, layered over a
-//! prefix-sharded on-disk store.
+//! Two-tier content-addressed result cache: a process-wide in-memory hot
+//! tier with byte-bounded LRU eviction, layered over a prefix-sharded
+//! on-disk store.
 //!
 //! Every figure sweep, calibration pass, and serve request funnels through
 //! here, and the dominant access pattern is *mostly-warm repetition*: the
 //! same sweep points looked up again and again across figures, reruns, and
 //! concurrent service clients. The hot tier answers those repeats with one
-//! shard-local mutex acquisition and a key comparison — no filesystem read,
-//! no JSON parse.
+//! mutex acquisition and a key comparison — no filesystem read, no JSON
+//! parse.
 //!
 //! ## Tiers
 //!
-//! * **Memory** — [`MEM_SHARDS`] independent shards, each its own
-//!   `Mutex` (so concurrent sweep workers rarely contend), keyed by the
-//!   leading byte of the digest. Each shard holds parsed [`Value`]s under a
-//!   byte-budgeted LRU: the process-wide cap (`--cache-mem-cap`, default
-//!   [`DEFAULT_MEM_CAP`]) is split evenly across shards, and inserting past
-//!   the budget evicts least-recently-used entries first. Entries larger
-//!   than one shard's budget are never admitted, so total residency is
-//!   provably bounded by the cap.
+//! * **Memory** — one LRU of parsed [`Value`]s behind one `Mutex`, under
+//!   a byte budget (`--cache-mem-cap`, default [`DEFAULT_MEM_CAP`]).
+//!   Inserting past the budget evicts least-recently-used entries first,
+//!   and a value larger than the whole budget is never admitted, so
+//!   residency is bounded by the cap. A lookup holds the lock for a map
+//!   lookup and an `Arc` clone; the value is deep-copied after release.
 //! * **Disk** — one JSON file per digest under a two-hex-prefix
 //!   subdirectory (`<dir>/<d[0..2]>/<digest>.json`), so a full-scale sweep
 //!   corpus never piles tens of thousands of files into one directory.
-//!   Entries from the older flat layout are migrated transparently on open.
+//!   Files at the cache root are neither read nor counted.
 //!
 //! ## Verification at both tiers
 //!
@@ -35,10 +33,11 @@
 //! [`PreparedKey`] and threaded through load/store, instead of being
 //! re-serialized at every verification site.
 //!
-//! Sharing: hot tiers are registered process-wide *per cache directory*
-//! (canonicalized), so every [`DiskCache`] handle a service opens onto the
-//! same directory shares one memory tier, while caches rooted elsewhere
-//! (tests, scratch sweeps) stay isolated.
+//! Sharing: a front end opens its cache once and clones the handle; a
+//! clone shares the directory and the memory tier. Hot tiers are also
+//! registered process-wide *per cache directory* (canonicalized), so a
+//! second open of the same directory shares the tier too, while caches
+//! rooted elsewhere (tests, scratch sweeps) stay isolated.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -51,10 +50,6 @@ use xtsim_machine::fingerprint::hex_digest;
 
 /// Default in-memory hot-tier budget (bytes): 64 MiB.
 pub const DEFAULT_MEM_CAP: u64 = 64 * 1024 * 1024;
-
-/// Number of independent hot-tier shards. Shard choice is the first hex
-/// byte of the digest, so uniformly distributed digests spread evenly.
-pub const MEM_SHARDS: usize = 16;
 
 /// A job key serialized once: the canonical JSON encoding plus the digest
 /// derived from it. Constructed by `JobKey::prepare()`; both tiers verify
@@ -195,7 +190,7 @@ fn cache_metrics() -> &'static CacheMetrics {
             ),
             mem_oversize: xtsim_obs::counter(
                 "xtsim_cache_mem_oversize_total",
-                "Values too large for one memory-tier shard budget (never admitted).",
+                "Values larger than the memory-tier budget (never admitted).",
             ),
             mem_bytes: xtsim_obs::gauge(
                 "xtsim_cache_mem_bytes",
@@ -218,242 +213,133 @@ struct MemEntry {
     tick: u64,
 }
 
+/// The in-memory hot tier for one cache directory: a byte-budgeted LRU
+/// behind one `Mutex`.
 #[derive(Default)]
-struct MemShard {
+struct Lru {
     /// Digest → entry. BTreeMap: point lookups only, deterministic walks.
     entries: BTreeMap<String, MemEntry>,
     /// Recency tick → digest; the smallest tick is the LRU victim.
-    lru: BTreeMap<u64, String>,
+    order: BTreeMap<u64, String>,
+    /// Last recency tick handed out.
+    tick: u64,
+    /// Bytes resident (serialized-entry accounting).
     bytes: u64,
-}
-
-impl MemShard {
-    fn remove(&mut self, digest: &str) -> Option<MemEntry> {
-        let e = self.entries.remove(digest)?;
-        self.lru.remove(&e.tick);
-        self.bytes -= e.bytes;
-        Some(e)
-    }
-
-    /// Evict LRU entries until the shard holds at most `budget` bytes.
-    /// Returns the number of entries evicted.
-    fn evict_to(&mut self, budget: u64) -> u64 {
-        let mut evicted = 0;
-        while self.bytes > budget {
-            let Some((&tick, _)) = self.lru.iter().next() else { break };
-            let digest = self.lru.remove(&tick).expect("lru tick present");
-            let e = self.entries.remove(&digest).expect("lru digest present");
-            self.bytes -= e.bytes;
-            evicted += 1;
-        }
-        evicted
-    }
+    /// Byte budget; 0 disables the tier.
+    cap: u64,
 }
 
 enum MemLookup {
-    Hit(Value),
+    Hit(Arc<Value>),
     Miss,
     KeyMismatch,
 }
 
-/// The process-wide in-memory hot tier for one cache directory.
-struct MemCache {
-    shards: Vec<Mutex<MemShard>>,
-    /// Total byte budget, split evenly across shards. 0 disables the tier.
-    cap: AtomicU64,
-    /// Global recency clock (monotonic; shared so LRU order is meaningful
-    /// across shards even though eviction is shard-local).
-    tick: AtomicU64,
-    /// Residency totals, maintained under shard locks, read lock-free.
-    total_bytes: AtomicU64,
-    total_entries: AtomicU64,
-}
-
-impl MemCache {
-    fn new(cap: u64) -> MemCache {
-        MemCache {
-            shards: (0..MEM_SHARDS).map(|_| Mutex::new(MemShard::default())).collect(),
-            cap: AtomicU64::new(cap),
-            tick: AtomicU64::new(0),
-            total_bytes: AtomicU64::new(0),
-            total_entries: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_budget(&self) -> u64 {
-        self.cap.load(Ordering::Relaxed) / MEM_SHARDS as u64
-    }
-
-    fn shard_for(&self, digest: &str) -> &Mutex<MemShard> {
-        let idx = usize::from_str_radix(digest.get(..2).unwrap_or("0"), 16).unwrap_or(0);
-        &self.shards[idx % MEM_SHARDS]
-    }
-
-    fn publish_totals(&self) {
+impl Lru {
+    fn publish(&self) {
         let m = cache_metrics();
-        m.mem_bytes.set(self.total_bytes.load(Ordering::Relaxed));
-        m.mem_entries.set(self.total_entries.load(Ordering::Relaxed));
+        m.mem_bytes.set(self.bytes);
+        m.mem_entries.set(self.entries.len() as u64);
     }
 
-    /// Re-budget the tier (e.g. a front end passing `--cache-mem-cap` onto
-    /// an already-registered directory), evicting down if it shrank.
-    fn set_cap(&self, cap: u64) {
-        self.cap.store(cap, Ordering::Relaxed);
-        let budget = cap / MEM_SHARDS as u64;
-        let mut evicted = 0;
-        for shard in &self.shards {
-            evicted += shard.lock().expect("mem-cache shard lock").evict_to(budget);
+    fn remove(&mut self, digest: &str) {
+        if let Some(e) = self.entries.remove(digest) {
+            self.order.remove(&e.tick);
+            self.bytes -= e.bytes;
         }
-        if evicted > 0 {
-            cache_metrics().mem_evictions.add(evicted);
-            self.recount();
-        }
-        self.publish_totals();
     }
 
-    /// Recompute residency totals from the shards (slow path, only after
-    /// bulk eviction).
-    fn recount(&self) {
-        let (mut bytes, mut entries) = (0u64, 0u64);
-        for shard in &self.shards {
-            let s = shard.lock().expect("mem-cache shard lock");
-            bytes += s.bytes;
-            entries += s.entries.len() as u64;
+    /// Evict LRU entries until the tier holds at most `budget` bytes.
+    fn evict_to(&mut self, budget: u64) {
+        while self.bytes > budget {
+            let Some((_, digest)) = self.order.pop_first() else { break };
+            let e = self.entries.remove(&digest).expect("lru digest present");
+            self.bytes -= e.bytes;
+            cache_metrics().mem_evictions.inc();
         }
-        self.total_bytes.store(bytes, Ordering::Relaxed);
-        self.total_entries.store(entries, Ordering::Relaxed);
     }
 
-    fn lookup(&self, key: &PreparedKey) -> MemLookup {
-        if self.cap.load(Ordering::Relaxed) == 0 {
-            return MemLookup::Miss;
-        }
-        let mut s = self.shard_for(&key.digest).lock().expect("mem-cache shard lock");
-        let Some(e) = s.entries.get(&key.digest) else {
+    /// Re-budget the tier (a front end passing `--cache-mem-cap` onto an
+    /// already-registered directory), evicting down if it shrank.
+    fn set_cap(&mut self, cap: u64) {
+        self.cap = cap;
+        self.evict_to(cap);
+        self.publish();
+    }
+
+    fn lookup(&mut self, key: &PreparedKey) -> MemLookup {
+        let Some(e) = self.entries.get_mut(&key.digest) else {
             return MemLookup::Miss;
         };
         if e.key_json != key.key_json {
             // Poisoned or colliding entry: it can never serve this key (and
             // by content-addressing it shouldn't exist at all) — drop it so
             // the recompute's store can land cleanly.
-            s.remove(&key.digest);
-            self.total_entries.fetch_sub(1, Ordering::Relaxed);
-            drop(s);
-            self.recount_bytes_only();
+            self.remove(&key.digest);
+            self.publish();
             return MemLookup::KeyMismatch;
         }
-        let value = Arc::clone(&e.value);
         // Touch: move the entry to the MRU end of the recency order.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let old = e.tick;
-        s.lru.remove(&old);
-        s.lru.insert(tick, key.digest.clone());
-        s.entries.get_mut(&key.digest).expect("entry present").tick = tick;
-        MemLookup::Hit((*value).clone())
+        self.tick += 1;
+        let digest = self.order.remove(&e.tick).expect("lru tick present");
+        self.order.insert(self.tick, digest);
+        e.tick = self.tick;
+        MemLookup::Hit(Arc::clone(&e.value))
     }
 
-    fn recount_bytes_only(&self) {
-        let bytes: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("mem-cache shard lock").bytes)
-            .sum();
-        self.total_bytes.store(bytes, Ordering::Relaxed);
-        self.publish_totals();
-    }
-
-    fn insert(&self, key: &PreparedKey, value: Arc<Value>, bytes: u64) {
-        let budget = self.shard_budget();
-        if budget == 0 {
+    fn insert(&mut self, key: &PreparedKey, value: Arc<Value>, bytes: u64) {
+        if self.cap == 0 {
             return;
         }
-        if bytes > budget {
+        if bytes > self.cap {
             cache_metrics().mem_oversize.inc();
             return;
         }
-        let mut s = self.shard_for(&key.digest).lock().expect("mem-cache shard lock");
-        let mut entry_delta: i64 = 1;
-        let mut byte_delta: i64 = bytes as i64;
-        if let Some(old) = s.remove(&key.digest) {
-            entry_delta -= 1;
-            byte_delta -= old.bytes as i64;
-        }
-        let evicted_bytes_before = s.bytes;
-        let evicted = s.evict_to(budget - bytes);
-        if evicted > 0 {
-            byte_delta -= (evicted_bytes_before - s.bytes) as i64;
-            entry_delta -= evicted as i64;
-            cache_metrics().mem_evictions.add(evicted);
-        }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        s.lru.insert(tick, key.digest.clone());
-        s.bytes += bytes;
-        s.entries
-            .insert(key.digest.clone(), MemEntry { key_json: key.key_json.clone(), value, bytes, tick });
-        drop(s);
-        add_signed(&self.total_bytes, byte_delta);
-        add_signed(&self.total_entries, entry_delta);
-        self.publish_totals();
-    }
-
-    fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.total_entries.load(Ordering::Relaxed),
-            self.total_bytes.load(Ordering::Relaxed),
-            self.cap.load(Ordering::Relaxed),
-        )
-    }
-}
-
-fn add_signed(a: &AtomicU64, delta: i64) {
-    if delta >= 0 {
-        a.fetch_add(delta as u64, Ordering::Relaxed);
-    } else {
-        a.fetch_sub((-delta) as u64, Ordering::Relaxed);
+        self.remove(&key.digest);
+        self.evict_to(self.cap - bytes);
+        self.tick += 1;
+        self.order.insert(self.tick, key.digest.clone());
+        self.bytes += bytes;
+        let entry = MemEntry { key_json: key.key_json.clone(), value, bytes, tick: self.tick };
+        self.entries.insert(key.digest.clone(), entry);
+        self.publish();
     }
 }
 
 /// Process-wide hot tiers, one per (canonicalized) cache directory: every
-/// `DiskCache` a service opens onto the same directory shares one memory
-/// tier; caches rooted elsewhere stay isolated.
-fn mem_for_dir(dir: &Path, cap: Option<u64>) -> Arc<MemCache> {
-    static REG: OnceLock<Mutex<BTreeMap<PathBuf, Arc<MemCache>>>> = OnceLock::new();
+/// `DiskCache` opened onto the same directory shares one memory tier;
+/// caches rooted elsewhere stay isolated. An explicit `cap` re-budgets the
+/// directory's tier; a plain open (`DiskCache::new`) leaves it alone.
+fn mem_for_dir(dir: &Path, cap: Option<u64>) -> Arc<Mutex<Lru>> {
+    static REG: OnceLock<Mutex<BTreeMap<PathBuf, Arc<Mutex<Lru>>>>> = OnceLock::new();
     let key = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
     let mut reg = REG.get_or_init(Default::default).lock().expect("mem-cache registry lock");
-    match reg.get(&key) {
-        Some(mem) => {
-            let mem = Arc::clone(mem);
-            // An explicit cap re-budgets the existing tier; a plain open
-            // (`DiskCache::new`) leaves the configured budget alone.
-            if let Some(cap) = cap {
-                mem.set_cap(cap);
-            }
-            mem
-        }
-        None => {
-            let mem = Arc::new(MemCache::new(cap.unwrap_or(DEFAULT_MEM_CAP)));
-            reg.insert(key, Arc::clone(&mem));
-            mem
-        }
+    let mem = reg
+        .entry(key)
+        .or_insert_with(|| Arc::new(Mutex::new(Lru { cap: DEFAULT_MEM_CAP, ..Lru::default() })));
+    if let Some(cap) = cap {
+        mem.lock().expect("mem-cache lock").set_cap(cap);
     }
+    Arc::clone(mem)
 }
 
 // ---------------------------------------------------------------- disk tier
 
-/// Two-tier content-addressed job cache: a sharded in-memory LRU hot tier
-/// over one JSON file per digest in two-hex-prefix subdirectories.
+/// Two-tier content-addressed job cache: an in-memory LRU hot tier over one
+/// JSON file per digest in two-hex-prefix subdirectories. A clone is another
+/// handle on the same directory and hot tier.
+#[derive(Clone)]
 pub struct DiskCache {
     dir: PathBuf,
-    mem: Arc<MemCache>,
+    mem: Arc<Mutex<Lru>>,
 }
 
 impl DiskCache {
     /// Open (creating if needed) a cache rooted at `dir` with the default
     /// memory-tier budget — or whatever budget the directory's hot tier was
-    /// already configured with this process. Flat-layout entries from older
-    /// caches are migrated into prefix subdirectories, and temp files
-    /// leaked by writers that died between write and rename are swept —
-    /// see [`DiskCache::sweep_stale_tmp`].
+    /// already configured with this process. Temp files leaked by writers
+    /// that died between write and rename are swept — see
+    /// [`DiskCache::sweep_stale_tmp`].
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
         DiskCache::open(dir.into(), None)
     }
@@ -468,7 +354,6 @@ impl DiskCache {
     fn open(dir: PathBuf, cap: Option<u64>) -> std::io::Result<DiskCache> {
         std::fs::create_dir_all(&dir)?;
         let cache = DiskCache { mem: mem_for_dir(&dir, cap), dir };
-        cache.migrate_flat_entries();
         cache.sweep_stale_tmp(STALE_TMP_MAX_AGE);
         Ok(cache)
     }
@@ -487,37 +372,8 @@ impl DiskCache {
         self.dir.join(digest.get(..2).unwrap_or("00")).join(format!("{digest}.json"))
     }
 
-    /// Move flat-layout entries (`<dir>/<digest>.json`, the pre-prefix
-    /// layout) into their two-hex-prefix subdirectories. Rename is atomic,
-    /// so concurrent openers race benignly: one wins, the rest no-op.
-    /// Returns the number of entries migrated.
-    pub fn migrate_flat_entries(&self) -> usize {
-        let Ok(rd) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut moved = 0;
-        for entry in rd.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() {
-                continue;
-            }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_suffix(".json") else { continue };
-            if !is_hex_digest(stem) {
-                continue;
-            }
-            let sub = self.dir.join(&stem[..2]);
-            if std::fs::create_dir_all(&sub).is_ok()
-                && std::fs::rename(&path, sub.join(&name)).is_ok()
-            {
-                moved += 1;
-            }
-        }
-        moved
-    }
-
     /// Load and *verify* the cached entry for `key`: memory tier first
-    /// (shard lookup plus byte-exact key comparison), then disk (read,
+    /// (map lookup plus byte-exact key comparison), then disk (read,
     /// parse, and key verification, promoting the value into the memory
     /// tier on a hit). A digest collision, a foreign entry, or a poisoned
     /// memory entry is a [`CacheLookup::KeyMismatch`] — callers must
@@ -525,8 +381,11 @@ impl DiskCache {
     pub fn load(&self, key: &PreparedKey) -> CacheLookup {
         let m = cache_metrics();
         let sw = xtsim_obs::Stopwatch::start();
-        match self.mem.lookup(key) {
+        // Bound first, so the lock is released before the deep copy below.
+        let mem = self.lock_mem().lookup(key);
+        match mem {
             MemLookup::Hit(v) => {
+                let v = (*v).clone();
                 m.lookup_seconds_mem.observe_since(&sw);
                 m.hits_mem.inc();
                 return CacheLookup::Hit(v);
@@ -565,7 +424,7 @@ impl DiskCache {
         match obj.remove("value") {
             Some(v) => {
                 let value = Arc::new(v);
-                self.mem.insert(key, Arc::clone(&value), text.len() as u64);
+                self.lock_mem().insert(key, Arc::clone(&value), text.len() as u64);
                 CacheLookup::Hit((*value).clone())
             }
             None => CacheLookup::Miss,
@@ -599,38 +458,36 @@ impl DiskCache {
         m.store_bytes.add(bytes);
         // The hot tier keeps its own parsed copy (this clone *is* the
         // cached value, not serialization scaffolding).
-        self.mem.insert(key, Arc::new(value.clone()), bytes);
+        self.lock_mem().insert(key, Arc::new(value.clone()), bytes);
         Ok(())
     }
 
-    /// Visit every file in the store: prefix subdirectories first, then
-    /// stragglers at the top level (pre-migration entries, root temp files).
+    fn lock_mem(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.mem.lock().expect("mem-cache lock")
+    }
+
+    /// Visit every file in the prefix subdirectories. Files at the cache
+    /// root are not part of the store: `read_dir` on them fails and they
+    /// are skipped.
     fn walk_files(&self, mut f: impl FnMut(&std::fs::DirEntry)) {
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return;
         };
-        for entry in rd.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir() {
-                if let Ok(sub) = std::fs::read_dir(&path) {
-                    for e in sub.filter_map(Result::ok) {
-                        f(&e);
-                    }
-                }
-            } else {
-                f(&entry);
+        for sub in rd.filter_map(Result::ok).filter_map(|e| std::fs::read_dir(e.path()).ok()) {
+            for e in sub.filter_map(Result::ok) {
+                f(&e);
             }
         }
     }
 
-    /// Remove leaked temp files from the whole store (root and prefix
-    /// subdirectories). A writer crashing between `fs::write` and
-    /// `fs::rename` in [`DiskCache::store`] strands its
-    /// `.<digest>.<pid>.<seq>.tmp` file forever — nothing else ever touches
-    /// that name again. A temp file is reclaimed when its recorded pid is
-    /// provably dead (`/proc/<pid>` absent on systems that have `/proc`) or
-    /// its mtime is older than `max_age`; fresh files from live writers are
-    /// left alone. Returns the number of files removed.
+    /// Remove leaked temp files from the prefix subdirectories, where
+    /// [`DiskCache::store`] writes them. A writer crashing between
+    /// `fs::write` and `fs::rename` strands its `.<digest>.<pid>.<seq>.tmp`
+    /// file forever — nothing else ever touches that name again. A temp file
+    /// is reclaimed when its recorded pid is provably dead (`/proc/<pid>`
+    /// absent on systems that have `/proc`) or its mtime is older than
+    /// `max_age`; fresh files from live writers are left alone. Returns the
+    /// number of files removed.
     pub fn sweep_stale_tmp(&self, max_age: Duration) -> usize {
         let now = std::time::SystemTime::now();
         let mut removed = 0;
@@ -667,10 +524,10 @@ impl DiskCache {
                 stats.tmp_files += 1;
             }
         });
-        let (mem_entries, mem_bytes, mem_cap) = self.mem.stats();
-        stats.mem_entries = mem_entries;
-        stats.mem_bytes = mem_bytes;
-        stats.mem_cap_bytes = mem_cap;
+        let mem = self.lock_mem();
+        stats.mem_entries = mem.entries.len() as u64;
+        stats.mem_bytes = mem.bytes;
+        stats.mem_cap_bytes = mem.cap;
         stats
     }
 
@@ -683,10 +540,6 @@ impl DiskCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn is_hex_digest(s: &str) -> bool {
-    s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 /// Writer pid recorded in a `.<digest>.<pid>.<seq>.tmp` file name.
@@ -738,9 +591,16 @@ mod tests {
         assert_eq!(stats.mem_entries, 1);
         assert!(stats.mem_bytes > 0 && stats.mem_bytes <= stats.mem_cap_bytes);
 
-        // A second handle on the same directory shares the hot tier...
+        // A clone shares the directory and the hot tier...
+        let clone = cache.clone();
+        assert_eq!(clone.dir(), cache.dir());
+        clone.store(&key(2), &val(2)).unwrap();
+        assert_eq!(cache.stats().mem_entries, 2);
+        std::fs::write(cache.path_for(&key(2).digest), "{ torn").unwrap();
+        assert!(matches!(cache.load(&key(2)), CacheLookup::Hit(v) if v == val(2)));
+        // ...as does a second handle opened on the same directory...
         let again = DiskCache::new(&dir).unwrap();
-        assert_eq!(again.stats().mem_entries, 1);
+        assert_eq!(again.stats().mem_entries, 2);
         // ...while a different directory gets its own, empty one.
         let other_dir = tmp_dir("roundtrip-other");
         let other = DiskCache::new(&other_dir).unwrap();
@@ -801,42 +661,26 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_and_respects_byte_budget() {
         let dir = tmp_dir("lru");
-        // All test digests share a first byte? No — force one shard by
-        // budgeting for it: use a cap where each shard holds ~2 entries and
-        // drive three same-shard keys by brute-force seed search.
-        let probe = DiskCache::with_mem_cap(&dir, 0).unwrap();
-        let mut same_shard = Vec::new();
-        let want = key(0).digest[..2].to_string();
-        let mut seed = 0u32;
-        while same_shard.len() < 3 {
-            let k = key(seed);
-            if k.digest[..2] == want[..] {
-                same_shard.push((seed, k));
-            }
-            seed += 1;
-        }
-        drop(probe);
-        let entry_bytes = same_shard
+        let keys = [key(0), key(1), key(2)];
+        let entry_bytes = keys
             .iter()
-            .map(|(s, k)| {
-                let value_json = serde_json::to_string(&val(*s)).unwrap();
+            .zip(0..)
+            .map(|(k, s)| {
+                let value_json = serde_json::to_string(&val(s)).unwrap();
                 format!("{{\"key\":{},\"value\":{}}}", k.key_json, value_json).len() as u64
             })
             .max()
             .unwrap();
-        // Budget one shard for two entries plus slack smaller than one entry
-        // (cap is split evenly across MEM_SHARDS), so storing a third entry
-        // evicts exactly the LRU one.
-        let cap = (entry_bytes * 2 + 16) * MEM_SHARDS as u64;
+        // Budget for two entries plus slack smaller than one entry, so
+        // storing a third entry evicts exactly the LRU one.
+        let cap = entry_bytes * 2 + 16;
         let cache = DiskCache::with_mem_cap(&dir, cap).unwrap();
-        let (sa, ka) = &same_shard[0];
-        let (sb, kb) = &same_shard[1];
-        let (sc, kc) = &same_shard[2];
-        cache.store(ka, &val(*sa)).unwrap();
-        cache.store(kb, &val(*sb)).unwrap();
+        let [ka, kb, kc] = &keys;
+        cache.store(ka, &val(0)).unwrap();
+        cache.store(kb, &val(1)).unwrap();
         // Touch A so B becomes the LRU victim.
         assert!(matches!(cache.load(ka), CacheLookup::Hit(_)));
-        cache.store(kc, &val(*sc)).unwrap();
+        cache.store(kc, &val(2)).unwrap();
         let stats = cache.stats();
         assert!(stats.mem_bytes <= cap, "residency {} exceeds cap {cap}", stats.mem_bytes);
 
@@ -875,7 +719,7 @@ mod tests {
     #[test]
     fn oversize_values_are_never_admitted() {
         let dir = tmp_dir("oversize");
-        let cache = DiskCache::with_mem_cap(&dir, 4096).unwrap(); // 256 B/shard
+        let cache = DiskCache::with_mem_cap(&dir, 4096).unwrap();
         let k = key(9);
         let mut m = BTreeMap::new();
         m.insert("blob".to_string(), Value::Str("z".repeat(10_000)));
@@ -887,43 +731,26 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_entries_migrate_on_open() {
-        let dir = tmp_dir("migrate");
+    fn flat_layout_leftovers_are_ignored() {
+        let dir = tmp_dir("flat");
         std::fs::create_dir_all(&dir).unwrap();
-        // Write three entries in the pre-PR flat layout, byte-compatible
-        // with what the old store produced.
-        let mut keys = Vec::new();
-        for s in 0..3 {
-            let k = key(s);
-            let value_json = serde_json::to_string(&val(s)).unwrap();
-            std::fs::write(
-                dir.join(format!("{}.json", k.digest)),
-                format!("{{\"key\":{},\"value\":{}}}", k.key_json, value_json),
-            )
+        // A well-formed entry in the old flat layout, at the cache root.
+        let k = key(0);
+        let value_json = serde_json::to_string(&val(0)).unwrap();
+        let flat = dir.join(format!("{}.json", k.digest));
+        std::fs::write(&flat, format!("{{\"key\":{},\"value\":{}}}", k.key_json, value_json))
             .unwrap();
-            keys.push(k);
-        }
-        // A non-digest json file must be left where it is.
-        std::fs::write(dir.join("README.json"), "{}").unwrap();
 
-        let cache = DiskCache::with_mem_cap(&dir, 0).unwrap();
-        for (s, k) in keys.iter().enumerate() {
-            assert!(
-                dir.join(&k.digest[..2]).join(format!("{}.json", k.digest)).is_file(),
-                "entry {s} not migrated"
-            );
-            assert!(!dir.join(format!("{}.json", k.digest)).exists());
-            assert!(matches!(cache.load(k), CacheLookup::Hit(v) if v == val(s as u32)));
-        }
-        assert!(dir.join("README.json").exists(), "foreign file must not be moved");
-        // stats counts the migrated entries (README.json is also a .json
-        // file at the root; it stays counted — harmless accounting).
-        assert!(cache.stats().entries >= 3);
+        let cache = DiskCache::new(&dir).unwrap();
+        assert!(matches!(cache.load(&k), CacheLookup::Miss), "root entry was read");
+        assert!(flat.is_file(), "root entry was moved");
+        assert!(!cache.path_for(&k.digest).exists());
+        assert_eq!(cache.stats().entries, 0, "root entry was counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn concurrent_mixed_load_store_is_never_torn_across_shards() {
+    fn concurrent_mixed_load_store_is_never_torn() {
         let dir = tmp_dir("mixed");
         // Small cap so eviction churns continuously under load.
         let cache = DiskCache::with_mem_cap(&dir, 8 * 1024).unwrap();

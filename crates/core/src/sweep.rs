@@ -17,9 +17,11 @@
 //! moves only wall time, never an output byte.
 //!
 //! Caching: results live in the two-tier [`DiskCache`] (see
-//! [`crate::cache`]) — a sharded in-memory LRU hot tier over one
+//! [`crate::cache`]) — an in-memory LRU hot tier over one
 //! `{"key": ..., "value": ...}` JSON file per job in two-hex-prefix
-//! subdirectories. The digest hashes the canonical JSON of the key — engine
+//! subdirectories. A front end opens the cache once per process and hands
+//! each [`SweepConfig`] that handle or a clone of it (a clone shares the
+//! hot tier). The digest hashes the canonical JSON of the key — engine
 //! version, job kind, machine spec content, execution mode, scale, and all
 //! sweep parameters — via two independent FNV-1a passes
 //! ([`xtsim_machine::fingerprint`]); the engine serializes each key **once**
@@ -39,9 +41,7 @@ use xtsim_machine::{ExecMode, MachineSpec};
 
 use crate::report::{FigureResult, Scale};
 
-pub use crate::cache::{
-    CacheLookup, CacheStats, DiskCache, PreparedKey, DEFAULT_MEM_CAP, MEM_SHARDS,
-};
+pub use crate::cache::{CacheLookup, CacheStats, DiskCache, PreparedKey, DEFAULT_MEM_CAP};
 
 /// Version of the simulation engine folded into every cache key. Bump on any
 /// change that alters simulated numbers so stale cache entries stop hitting.
@@ -768,20 +768,22 @@ mod tests {
     fn stale_tmp_files_are_swept() {
         let dir = std::env::temp_dir().join(format!("xtsim-tmpsweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let digest = "a".repeat(32);
+        // `store` writes its temp files into the entry's prefix directory.
+        let sub = dir.join(&digest[..2]);
+        std::fs::create_dir_all(&sub).unwrap();
 
         // A temp file whose recorded writer is dead: spawn a process, let it
         // exit, and stamp its (now free) pid into the name.
         let dead = std::process::Command::new("true").spawn().ok().map(|mut child| {
             let pid = child.id();
             child.wait().unwrap();
-            let path = dir.join(format!(".{digest}.{pid}.0.tmp"));
+            let path = sub.join(format!(".{digest}.{pid}.0.tmp"));
             std::fs::write(&path, b"{\"torn\":").unwrap();
             path
         });
         // A fresh temp file from a *live* writer (our own pid): must survive.
-        let live = dir.join(format!(".{digest}.{}.1.tmp", std::process::id()));
+        let live = sub.join(format!(".{digest}.{}.1.tmp", std::process::id()));
         std::fs::write(&live, b"{\"inflight\":").unwrap();
 
         let cache = DiskCache::new(&dir).unwrap(); // sweeps on open

@@ -28,8 +28,8 @@ fn unique_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The one true value for key `i`: any `Hit` serving anything else is a torn
-/// or mismatched read. Padded so a handful of entries overflows a shard
-/// budget and forces LRU eviction mid-run.
+/// or mismatched read. Padded so a handful of entries overflows the cap and
+/// forces LRU eviction mid-run.
 fn value_for(i: usize) -> Value {
     obj(vec![
         ("i", (i as i64).into()),
@@ -46,10 +46,10 @@ fn keys_for(n: usize) -> Vec<PreparedKey> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random interleavings of load/store across 4 threads and all shards,
-    /// under a cap tight enough that stores continuously evict: every `Hit`
-    /// must carry exactly the value stored under its key (never a torn or
-    /// foreign one), and residency must stay under the cap throughout.
+    /// Random interleavings of load/store across 4 threads, under a cap
+    /// tight enough that stores continuously evict: every `Hit` must carry
+    /// exactly the value stored under its key (never a torn or foreign
+    /// one), and residency must stay under the cap throughout.
     #[test]
     fn interleaved_ops_never_serve_torn_or_mismatched_values(
         ops in prop::collection::vec((0usize..24, 0u8..4), 64..200),
@@ -107,7 +107,8 @@ fn eviction_under_load_keeps_figures_byte_identical() {
     let reference = serde_json::to_string_pretty(&reference).unwrap();
 
     let dir = unique_dir("evict");
-    let cap = 16 * 1024; // 1 KiB per shard: a few entries, constant churn
+    // Room for one ~1 KiB fig02 entry: every store evicts the last one.
+    let cap = 2 * 1024;
     let cfg =
         SweepConfig::threads(4).with_cache(DiskCache::with_mem_cap(&dir, cap).unwrap());
     let (cold_fig, cold) = run_figure(fig02().spec(Scale::Quick), &cfg);
@@ -123,6 +124,7 @@ fn eviction_under_load_keeps_figures_byte_identical() {
         "memory residency {} exceeds the {cap}-byte cap after the cold run",
         stats.mem_bytes
     );
+    assert!(stats.mem_entries < cold.total as u64, "the hot tier held the whole sweep");
 
     let cfg =
         SweepConfig::threads(4).with_cache(DiskCache::with_mem_cap(&dir, cap).unwrap());

@@ -100,7 +100,7 @@ pub struct Fact {
 #[derive(Debug, Clone)]
 pub struct LockAcq {
     /// Normalized lock identity: `file-stem:receiver-tail` (indices
-    /// stripped, so every cache shard maps to one key — see
+    /// stripped, so every element of a lock array maps to one key — see
     /// EXPERIMENTS.md for why that is the *conservative* choice).
     pub key: String,
     /// `lock` | `read` | `write`.

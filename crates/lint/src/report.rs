@@ -122,7 +122,11 @@ impl Report {
                 if self.stale_baseline.len() == 1 { "y" } else { "ies" },
             );
             for e in &self.stale_baseline {
-                let _ = writeln!(out, "    {} [{}] `{}`", e.file, e.rule, e.snippet);
+                let _ = write!(out, "    {} [{}] `{}`", e.file, e.rule, e.snippet);
+                if let Some(function) = &e.function {
+                    let _ = write!(out, " in fn {function}");
+                }
+                out.push('\n');
             }
         }
         let _ = writeln!(
@@ -152,17 +156,6 @@ impl Report {
             .iter()
             .filter(|s| matches!(s.how, SuppressedHow::Allow { .. }))
             .count();
-        let stale = self
-            .stale_baseline
-            .iter()
-            .map(|e| {
-                obj(vec![
-                    ("file", e.file.to_value()),
-                    ("rule", e.rule.to_value()),
-                    ("snippet", e.snippet.to_value()),
-                ])
-            })
-            .collect();
         let summary = obj(vec![
             ("errors", self.count(Severity::Error).into()),
             ("warnings", self.count(Severity::Warn).into()),
@@ -178,7 +171,7 @@ impl Report {
             ("findings", self.findings.to_value()),
             ("suppressed", self.suppressed.to_value()),
             ("unsafe_inventory", self.unsafe_inventory.to_value()),
-            ("stale_baseline", Value::Array(stale)),
+            ("stale_baseline", self.stale_baseline.to_value()),
             ("summary", summary),
         ]))
     }
@@ -406,6 +399,18 @@ mod tests {
         assert!(text.contains("xtsim-lint-baseline-v2"));
         let entries = parse_baseline(&text).unwrap();
         assert_eq!(entries[0].function.as_deref(), Some("Engine::dispatch"));
+    }
+
+    #[test]
+    fn stale_entry_keeps_its_function() {
+        let v2 = r#"{"schema": "xtsim-lint-baseline-v2", "findings": [
+            {"file": "a.rs", "rule": "panic-propagation", "snippet": "fn f() {", "function": "gone"}
+        ]}"#;
+        let report = Report { stale_baseline: parse_baseline(v2).unwrap(), ..Report::default() };
+        let doc = serde_json::from_str::<Value>(&report.json()).unwrap();
+        let stale = doc.as_object().unwrap().get("stale_baseline").unwrap();
+        assert_eq!(Vec::<BaselineEntry>::from_value(stale).unwrap(), report.stale_baseline);
+        assert!(report.human(false).contains("`fn f() {` in fn gone"), "{}", report.human(false));
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! scripts to parse. `--dashboard DIR` instead renders the static
 //! dashboard from the registry and `BENCH_*.json` files into
 //! `DIR/index.html` and exits.
+//!
+//! The result cache is opened once, before that split; every run, `/stats`
+//! and the dashboard share that handle. A cache that cannot be opened is
+//! one warning, and the service runs uncached.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -143,15 +147,28 @@ fn main() {
         }
     };
 
+    let opened = args.cache.then(|| DiskCache::with_mem_cap(&args.cache_dir, args.cache_mem_cap));
+    let cache = match opened {
+        None => None,
+        Some(Ok(cache)) => Some(cache),
+        Some(Err(e)) => {
+            xtsim_obs::events::warn(
+                "xtsim_serve::main",
+                &format!(
+                    "cannot open cache at {}: {e}; running uncached",
+                    args.cache_dir.display()
+                ),
+                &[("cache_dir", &args.cache_dir.display().to_string())],
+            );
+            None
+        }
+    };
+
     if let Some(dir) = &args.dashboard {
         // One-shot: render from durable state only (no live queue).
         let records = registry.as_ref().map(|r| r.replay().records).unwrap_or_default();
         let bench = dashboard::collect_bench_files(&args.bench_root);
-        let cache = args
-            .cache
-            .then(|| DiskCache::new(&args.cache_dir).ok())
-            .flatten()
-            .map(|c| c.stats());
+        let cache = cache.as_ref().map(DiskCache::stats);
         let html = dashboard::render(&records, &bench, cache.as_ref(), None, None);
         match dashboard::write_to(dir, &html) {
             Ok(path) => println!("dashboard written to {}", path.display()),
@@ -163,13 +180,11 @@ fn main() {
         return;
     }
 
-    let cache_dir = args.cache.then(|| args.cache_dir.clone());
-    let exec = figure_executor(cache_dir.clone(), args.cache_mem_cap, registry.clone());
+    let exec = figure_executor(cache.clone(), registry.clone());
     let state = Arc::new(AppState {
         scheduler: Scheduler::new(args.queue_cap, args.max_concurrent, exec),
         registry,
-        cache_dir,
-        cache_mem_cap: args.cache_mem_cap,
+        cache,
         bench_root: args.bench_root.clone(),
         default_jobs: args.jobs,
         started: Instant::now(),
@@ -190,10 +205,10 @@ fn main() {
         args.queue_cap,
         args.max_concurrent,
         args.jobs,
-        match (args.cache, args.cache_mem_cap) {
-            (false, _) => "off".to_string(),
-            (true, 0) => "on (disk only)".to_string(),
-            (true, cap) => format!("on ({} KiB memory tier)", cap / 1024),
+        match (&state.cache, args.cache_mem_cap) {
+            (None, _) => "off".to_string(),
+            (Some(_), 0) => "on (disk only)".to_string(),
+            (Some(_), cap) => format!("on ({} KiB memory tier)", cap / 1024),
         }
     );
     serve(listener, state);

@@ -16,7 +16,7 @@ use xtsim::ablations::all_ablations;
 use xtsim::cli::{parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
-use xtsim::sweep::{run_figure, DiskCache, SweepConfig, ENGINE_VERSION};
+use xtsim::sweep::{obj, run_figure, DiskCache, SweepConfig, ENGINE_VERSION};
 
 use crate::dashboard;
 use crate::http::{read_request, write_response, Request, Response};
@@ -29,10 +29,9 @@ pub struct AppState {
     pub scheduler: Scheduler,
     /// Durable run registry, when enabled (shared with the executor).
     pub registry: Option<Arc<Registry>>,
-    /// Cache directory (for `/stats`), when caching is enabled.
-    pub cache_dir: Option<PathBuf>,
-    /// Memory hot-tier byte budget for the result cache (0 = disk only).
-    pub cache_mem_cap: u64,
+    /// The process's result cache (for `/stats` and `/dashboard`), when
+    /// caching is enabled; the executor runs on a clone of it.
+    pub cache: Option<DiskCache>,
     /// Directory scanned for `BENCH_*.json` (the repo root).
     pub bench_root: PathBuf,
     /// Default sweep worker threads for requests that don't specify `jobs`.
@@ -63,12 +62,9 @@ pub fn unix_now() -> f64 {
 /// exactly as the `figures` CLI does, then append the outcome to the
 /// registry. The result JSON is `serde_json::to_string_pretty` of the
 /// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
-/// `<id>.json` artifact for the same (figure, scale).
-pub fn figure_executor(
-    cache_dir: Option<PathBuf>,
-    cache_mem_cap: u64,
-    registry: Option<Arc<Registry>>,
-) -> Executor {
+/// `<id>.json` artifact for the same (figure, scale). Every run, and every
+/// concurrent client, shares `cache`'s memory tier.
+pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>) -> Executor {
     Arc::new(move |id: u64, req: &RunRequest, wait_secs: f64| {
         let run = || -> Result<crate::queue::RunOutput, String> {
             let fig = catalog()
@@ -76,21 +72,8 @@ pub fn figure_executor(
                 .find(|f| f.id == req.figure)
                 .ok_or_else(|| format!("unknown figure id: {}", req.figure))?;
             let mut cfg = SweepConfig::threads(req.jobs).with_metrics();
-            if let Some(dir) = &cache_dir {
-                // The memory hot tier is process-wide per cache directory,
-                // so every run (and every concurrent client) shares it; the
-                // cap is (re)applied here in case it changed.
-                match DiskCache::with_mem_cap(dir, cache_mem_cap) {
-                    Ok(cache) => cfg = cfg.with_cache(cache),
-                    Err(e) => xtsim_obs::events::warn(
-                        "xtsim_serve::executor",
-                        &format!(
-                            "cannot open cache at {}: {e}; running uncached",
-                            dir.display()
-                        ),
-                        &[("run_id", &id.to_string()), ("cache_dir", &dir.display().to_string())],
-                    ),
-                }
+            if let Some(cache) = &cache {
+                cfg = cfg.with_cache(cache.clone());
             }
             let (result, stats) = run_figure(fig.spec(req.scale), &cfg);
             let result_json =
@@ -138,10 +121,6 @@ pub fn figure_executor(
 }
 
 // ------------------------------------------------------------------ routing
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
 
 fn json_response(status: u16, v: &Value) -> Response {
     Response::json(status, serde_json::to_string_pretty(v).expect("value serializes"))
@@ -354,11 +333,7 @@ fn dispatch(req: &Request, state: &AppState) -> Response {
             None => Response::error(404, "registry disabled"),
         },
         ("GET", ["stats"]) => {
-            let cache = state
-                .cache_dir
-                .as_ref()
-                .and_then(|dir| DiskCache::new(dir).ok())
-                .map(|c| c.stats());
+            let cache = state.cache.as_ref().map(DiskCache::stats);
             let registry = state.registry.as_ref().map(|reg| {
                 let replay = reg.replay();
                 obj(vec![
@@ -400,11 +375,7 @@ fn dispatch(req: &Request, state: &AppState) -> Response {
         ("GET", ["dashboard"]) => {
             let records = state.registry.as_ref().map(|r| r.replay().records).unwrap_or_default();
             let bench = dashboard::collect_bench_files(&state.bench_root);
-            let cache = state
-                .cache_dir
-                .as_ref()
-                .and_then(|dir| DiskCache::new(dir).ok())
-                .map(|c| c.stats());
+            let cache = state.cache.as_ref().map(DiskCache::stats);
             let telemetry = xtsim_obs::snapshot();
             let html = dashboard::render(
                 &records,
@@ -456,8 +427,7 @@ mod tests {
         AppState {
             scheduler: Scheduler::new(4, 1, exec),
             registry: None,
-            cache_dir: None,
-            cache_mem_cap: 0,
+            cache: None,
             bench_root: PathBuf::from("."),
             default_jobs: 2,
             started: Instant::now(),

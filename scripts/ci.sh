@@ -5,6 +5,7 @@
 # interleaving property tests, the observability trace/metrics consistency
 # tests, and the cache-key and JSON-string property tests), then a
 # cache-disabled quick-scale smoke run of the figures binary itself, a
+# rerun over a damaged cache that must match an uncached run, a
 # trace/metrics export smoke, a dispatch-order check (largest cost hint
 # first), CLI validation checks (bad tokens, missing values, uncreatable
 # output paths), a serve smoke with a parallel-clients phase over the
@@ -130,6 +131,29 @@ cargo run --release -p xtsim-bench --bin figures -- \
 for id in table1 fig01 fig12 fig23; do
     test -s "$out/$id.json" || { echo "missing $id.json"; exit 1; }
 done
+rm -rf "$out"
+
+echo "== damaged cache (truncated entries, a leftover at the cache root) =="
+# A truncated entry is a miss and is recomputed; a file at the cache root
+# (the retired flat layout) is never read. The rerun must exit 0 and write
+# the bytes of an uncached run.
+out="$(mktemp -d)"
+target/release/figures --quick --only fig02 --jobs 2 \
+    --cache-dir "$out/cache" --out "$out/cold" >/dev/null
+python3 - "$out/cache" <<'EOF'
+import glob, os, sys
+cache = sys.argv[1]
+entries = glob.glob(f"{cache}/??/*.json")
+assert entries, "fig02 left no cache entries"
+for path in entries:
+    os.truncate(path, os.path.getsize(path) // 2)
+# Garbage under a real entry's <32-hex>.json name, at the root.
+open(os.path.join(cache, os.path.basename(entries[0])), "w").write("{ garbage")
+EOF
+target/release/figures --quick --only fig02 --jobs 2 \
+    --cache-dir "$out/cache" --out "$out/damaged" >/dev/null
+target/release/figures --quick --only fig02 --jobs 2 --no-cache --out "$out/ref" >/dev/null
+diff -r "$out/ref" "$out/damaged" || { echo "damaged-cache rerun differs from --no-cache"; exit 1; }
 rm -rf "$out"
 
 echo "== trace/metrics export smoke =="

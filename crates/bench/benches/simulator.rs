@@ -184,6 +184,33 @@ fn fluid_pool_stress(flows: usize) -> f64 {
     sim.run().as_secs_f64()
 }
 
+/// POP's and CAM's lock-step shape: `flows` transfers, each on its own
+/// link, start and finish together for `rounds` rounds beside `background`
+/// long-lived flows on links of their own. Each round's completions and
+/// restarts share one instant, so the pool rebalances `2 * flows` times at
+/// it while the rest of the pool needs advancing only once.
+fn fluid_lockstep(flows: usize, background: usize, rounds: usize) -> SimTime {
+    let mut sim = Sim::new(0);
+    let pool = FluidPool::new(sim.handle());
+    for i in 0..background {
+        let (pool, link) = (pool.clone(), pool.add_link(1.0e9));
+        // Outlives every round (1 ms each at the link's full rate).
+        let volume = (rounds + 1) as f64 * 1.0e6 + i as f64;
+        sim.spawn(async move {
+            pool.transfer(&[link], volume, None).await;
+        });
+    }
+    for _ in 0..flows {
+        let (pool, link) = (pool.clone(), pool.add_link(1.0e9));
+        sim.spawn(async move {
+            for _ in 0..rounds {
+                pool.transfer(&[link], 1.0e6, None).await;
+            }
+        });
+    }
+    sim.run()
+}
+
 fn bench_fluid_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("fluid_pool");
     g.sample_size(10);
@@ -197,6 +224,10 @@ fn bench_fluid_pool(c: &mut Criterion) {
             b.iter(|| fluid_pool_stress(flows));
         });
     }
+    let (flows, background) = if quick() { (500, 128) } else { (1_000, 256) };
+    g.bench_function("lockstep_1k", |b| {
+        b.iter(|| fluid_lockstep(flows, background, 10));
+    });
     g.finish();
 }
 

@@ -21,14 +21,15 @@
 //! pool:
 //!
 //! * **Slab storage.** Flows live in a `Vec<Option<Flow>>` with a free list;
-//!   each link keeps an adjacency list of the active flow slots crossing it.
-//!   No hash maps anywhere on the hot path.
+//!   each link keeps an adjacency list of the active flow slots crossing it,
+//!   and the pool keeps a dense list of all active slots (`live`). No hash
+//!   maps anywhere on the hot path.
 //! * **Component-local rebalancing.** When a flow starts or ends, only the
 //!   connected component of links/flows reachable from its route is
-//!   re-water-filled. Disjoint traffic is left completely untouched — its
-//!   rates, volumes, and scheduled completion events stay as they are.
-//!   (Max-min allocations of disjoint components are independent, so this is
-//!   exact, not an approximation.)
+//!   re-water-filled. Disjoint traffic keeps its rates; only the pool-wide
+//!   advance below touches its volumes and finish instants. (Max-min
+//!   allocations of disjoint components are independent, so this is exact,
+//!   not an approximation.)
 //! * **Allocation-free water-fill.** The solver reuses per-pool scratch
 //!   buffers (residual capacity, unfrozen-user counters, per-flow rates,
 //!   stamp-based visited marks) across calls; a rebalance performs no heap
@@ -37,8 +38,19 @@
 //!   invalidated (generation bump) and re-queued only when the flow's rate —
 //!   and hence its finish estimate — actually moved. Flows whose rate came
 //!   out unchanged keep their live event, so the executor's heap does not
-//!   fill with dead entries. [`FluidPool::rebalance_stats`] exposes counters
-//!   for all of this.
+//!   fill with dead entries.
+//! * **One pool-wide advance per instant.** Flows outside the touched
+//!   component keep their rates, but the historical global rebalancer
+//!   advanced their volumes and re-rounded their finish instants on every
+//!   rebalance, and the pinned schedules keep those picosecond round-offs.
+//!   The pool replays that advance over its live flows only, and at most
+//!   once per instant: afterwards every active flow is stamped with the
+//!   current instant, as is every flow started, completed, re-armed or
+//!   cancelled later at it, so later rebalances at that instant have
+//!   nothing to replay. A link's `carried` bytes are booked once per flow,
+//!   when the flow completes or is cancelled.
+//!
+//! [`FluidPool::rebalance_stats`] exposes counters for all of this.
 //!
 //! Within a component, flows are processed in arrival (`uid`) order, so the
 //! floating-point arithmetic and event-scheduling order are deterministic
@@ -62,7 +74,9 @@ const VOLUME_EPS: f64 = 1e-6;
 
 struct Link {
     capacity: f64, // bytes/s
-    /// Cumulative bytes carried (for utilization reports).
+    /// Bytes delivered across this link by flows that have ended (for
+    /// utilization reports), booked when each flow completes or is
+    /// cancelled.
     carried: f64,
     /// Slab slots of the *active* (not yet completed) flows crossing this
     /// link — the adjacency index component discovery walks.
@@ -74,6 +88,7 @@ struct Flow {
     /// and protects [`Transfer`] handles against slab-slot reuse.
     uid: u64,
     route: Box<[LinkId]>,
+    volume: f64,
     remaining: f64,
     rate: f64,
     cap: f64,
@@ -85,6 +100,8 @@ struct Flow {
     /// leaves both the rate and this instant unchanged keeps the event live.
     eta: SimTime,
     waker: Option<Waker>,
+    /// Index of this flow in [`PoolInner::live`] while it is active.
+    live_pos: usize,
     done: bool,
 }
 
@@ -97,13 +114,21 @@ pub struct RebalanceStats {
     pub rebalances: u64,
     /// Flows whose rate was recomputed, summed over all rebalances.
     pub flows_touched: u64,
-    /// Completion events (re)scheduled because a flow's rate moved.
+    /// Completion events (re)scheduled: for a component flow whose rate or
+    /// rounded finish instant moved, for a flow outside the component whose
+    /// finish instant the pool-wide advance re-rounded, and for a
+    /// completion that fired a picosecond early and was re-armed.
     pub reschedules: u64,
     /// Flows whose recomputed rate was unchanged: their live completion
     /// event was kept instead of being invalidated and re-queued.
     pub reschedules_avoided: u64,
     /// Largest connected component (in flows) rebalanced so far.
     pub max_component: u64,
+    /// Pool-wide advances run: at most one per instant, at the instant's
+    /// first rebalance.
+    pub sweeps: u64,
+    /// Active flows those advances visited, summed over all sweeps.
+    pub swept_flows: u64,
 }
 
 /// Reusable scratch for component discovery and water-filling. All vectors
@@ -141,9 +166,13 @@ struct PoolInner {
     /// Flow slab; `None` slots are free (tracked in `free`).
     flows: Vec<Option<Flow>>,
     free: Vec<usize>,
+    /// Slab slots of the active (not done, not cancelled) flows, in no
+    /// particular order; each flow knows its index here.
+    live: Vec<usize>,
+    /// Instant of the last pool-wide advance (step 5 of
+    /// [`FluidPool::rebalance_around`]).
+    swept_at: SimTime,
     next_uid: u64,
-    /// Active (not done, not cancelled) flow count.
-    active: usize,
     scratch: Scratch,
     stats: RebalanceStats,
 }
@@ -162,6 +191,7 @@ impl FluidPool {
     /// Create an empty pool.
     pub fn new(handle: SimHandle) -> Self {
         let source = handle.core.register_flow_source();
+        let swept_at = handle.now();
         FluidPool {
             handle,
             source,
@@ -169,8 +199,9 @@ impl FluidPool {
                 links: Vec::new(),
                 flows: Vec::new(),
                 free: Vec::new(),
+                live: Vec::new(),
+                swept_at,
                 next_uid: 0,
-                active: 0,
                 scratch: Scratch::default(),
                 stats: RebalanceStats::default(),
             })),
@@ -198,14 +229,15 @@ impl FluidPool {
         self.inner.borrow().links.len()
     }
 
-    /// Cumulative bytes carried over `link`.
+    /// Bytes carried over `link` by the flows that have ended so far; a
+    /// flow's bytes are booked when it completes or is cancelled.
     pub fn carried(&self, link: LinkId) -> f64 {
         self.inner.borrow().links[link.0].carried
     }
 
     /// Number of currently active (unfinished) flows.
     pub fn active_flows(&self) -> usize {
-        self.inner.borrow().active
+        self.inner.borrow().live.len()
     }
 
     /// Work counters of the incremental rebalancer.
@@ -237,6 +269,7 @@ impl FluidPool {
             let flow = Flow {
                 uid,
                 route: route.to_vec().into_boxed_slice(),
+                volume,
                 remaining: volume,
                 rate: 0.0,
                 cap,
@@ -244,6 +277,7 @@ impl FluidPool {
                 generation: 0,
                 eta: now,
                 waker: None,
+                live_pos: inner.live.len(),
                 done: false,
             };
             let slot = match inner.free.pop() {
@@ -263,10 +297,10 @@ impl FluidPool {
             for l in route {
                 inner.links[l.0].flows.push(slot);
             }
-            inner.active += 1;
+            inner.live.push(slot);
             // One live completion event per active flow: pre-size the event
             // queue so a burst of arrivals does not re-grow it repeatedly.
-            self.handle.core.reserve_events(inner.active);
+            self.handle.core.reserve_events(inner.live.len());
             (slot, uid)
         };
         self.rebalance_around(slot);
@@ -278,7 +312,8 @@ impl FluidPool {
 
     /// Recompute rates for the connected component containing `seed_slot`'s
     /// route, advance that component's volumes to `now`, and (re)schedule
-    /// completion events for exactly the flows whose rate moved.
+    /// completion events for exactly the flows whose rate moved. The first
+    /// rebalance of an instant then advances the rest of the pool too.
     ///
     /// `seed_slot` must be a valid slab slot; the flow itself participates
     /// only if it is still linked into the adjacency index (i.e. active).
@@ -346,11 +381,7 @@ impl FluidPool {
             let f = flows[slot].as_mut().expect("component flow");
             let dt = now.duration_since(f.last_update).as_secs_f64();
             if dt > 0.0 && f.rate > 0.0 {
-                let moved = f.rate * dt;
-                f.remaining = (f.remaining - moved).max(0.0);
-                for l in f.route.iter() {
-                    links[l.0].carried += moved;
-                }
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
             f.last_update = now;
         }
@@ -440,32 +471,34 @@ impl FluidPool {
             // positive share because link capacities are positive.
         }
 
-        // --- 5. advance bookkeeping for the rest of the pool ---------------
+        // --- 5. advance the rest of the pool, once per instant -----------
         // Rates outside the touched component cannot change (water-filling
         // restricted to a component is exact — see the oracle proptest), but
         // the historical rebalancer still advanced every flow's remaining
         // volume and recomputed its finish estimate, and that chained
         // arithmetic can ceil to a neighbouring picosecond. Replay exactly
-        // that bookkeeping — a few float ops per flow, no water-filling, and
-        // no event traffic unless the rounded instant actually moved.
-        for (slot, entry) in flows.iter_mut().enumerate() {
-            if scratch.flow_stamp[slot] == stamp {
-                continue; // component flow: handled above
-            }
-            let Some(f) = entry.as_mut() else { continue };
-            if f.done {
+        // that bookkeeping over the live flows — a few float ops per flow, no
+        // water-filling, and no event traffic unless the rounded instant
+        // actually moved. Afterwards every active flow is stamped `now`, as
+        // is every flow started, completed, re-armed or cancelled later at
+        // this instant, so a later rebalance at `now` would replay nothing:
+        // the sweep runs at most once per pool per instant.
+        if inner.swept_at == now {
+            return;
+        }
+        inner.swept_at = now;
+        inner.stats.sweeps += 1;
+        inner.stats.swept_flows += inner.live.len() as u64;
+        for &slot in &inner.live {
+            let Some(f) = flows[slot].as_mut() else {
                 continue;
-            }
+            };
             let dt = now.duration_since(f.last_update).as_secs_f64();
             if dt <= 0.0 {
-                continue; // nothing moved: the stored estimate is bit-identical
+                continue; // component flow, or already advanced to `now`
             }
             if f.rate > 0.0 {
-                let moved = f.rate * dt;
-                f.remaining = (f.remaining - moved).max(0.0);
-                for l in f.route.iter() {
-                    links[l.0].carried += moved;
-                }
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
             f.last_update = now;
             let eta = now + SimDuration::from_secs_f64(f.remaining / f.rate);
@@ -473,8 +506,7 @@ impl FluidPool {
                 f.generation += 1;
                 f.eta = eta;
                 inner.stats.reschedules += 1;
-                let (uid, gen) = (f.uid, f.generation);
-                self.schedule_completion(slot, uid, gen, eta);
+                self.schedule_completion(slot, f.uid, f.generation, eta);
             }
         }
     }
@@ -502,11 +534,7 @@ impl FluidPool {
             }
             // Settle volume as of now; the flow should be (numerically) drained.
             let dt = now.duration_since(f.last_update).as_secs_f64();
-            let moved = (f.rate * dt).min(f.remaining);
-            f.remaining -= moved;
-            for l in f.route.iter() {
-                inner.links[l.0].carried += moved;
-            }
+            f.remaining -= (f.rate * dt).min(f.remaining);
             f.last_update = now;
             if f.remaining > VOLUME_EPS {
                 // Completion fired fractionally early due to ps rounding;
@@ -521,11 +549,9 @@ impl FluidPool {
                 self.schedule_completion(slot, uid, f.generation, eta);
                 return;
             }
-            f.done = true;
             f.remaining = 0.0;
             let w = f.waker.take();
-            Self::unlink(&mut inner.links, &inner.flows, slot);
-            inner.active -= 1;
+            inner.retire(slot);
             w
         };
         if let Some(w) = waker {
@@ -536,24 +562,12 @@ impl FluidPool {
         self.rebalance_around(slot);
     }
 
-    /// Remove `slot` from the adjacency list of every link on its route.
-    fn unlink(links: &mut [Link], flows: &[Option<Flow>], slot: usize) {
-        let f = flows[slot].as_ref().expect("flow being unlinked");
-        for l in f.route.iter() {
-            let lf = &mut links[l.0].flows;
-            let pos = lf
-                .iter()
-                .position(|&s| s == slot)
-                .expect("flow registered on its links");
-            lf.swap_remove(pos);
-        }
-    }
-
     /// Cancel the transfer identified by `(slot, uid)` (dropped before
     /// completion) or release its finished record. Cancelling an
     /// already-completed flow frees the slab slot and does **not** trigger
     /// a rebalance — the bandwidth was already released at completion.
     fn cancel(&self, slot: usize, uid: u64) {
+        let now = self.handle.now();
         let live = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
@@ -568,19 +582,13 @@ impl FluidPool {
                 inner.free.push(slot);
                 false
             } else {
-                // Account the bytes moved so far, then withdraw the flow.
-                let dt = now_dt(f.last_update, self.handle.now());
+                // Settle the bytes moved so far, then withdraw the flow.
+                let dt = now.duration_since(f.last_update).as_secs_f64();
                 if dt > 0.0 && f.rate > 0.0 {
-                    let moved = (f.rate * dt).min(f.remaining);
-                    f.remaining -= moved;
-                    for l in f.route.iter() {
-                        inner.links[l.0].carried += moved;
-                    }
+                    f.remaining -= (f.rate * dt).min(f.remaining);
                 }
-                f.last_update = self.handle.now();
-                f.done = true;
-                Self::unlink(&mut inner.links, &inner.flows, slot);
-                inner.active -= 1;
+                f.last_update = now;
+                inner.retire(slot);
                 true
             }
         };
@@ -594,9 +602,31 @@ impl FluidPool {
     }
 }
 
-#[inline]
-fn now_dt(last: SimTime, now: SimTime) -> f64 {
-    now.duration_since(last).as_secs_f64()
+impl PoolInner {
+    /// Withdraw the active flow in `slot` (completed or cancelled): mark it
+    /// done, book the bytes it delivered on every link of its route, remove
+    /// it from those links' adjacency lists and swap-remove it from `live`.
+    fn retire(&mut self, slot: usize) {
+        let Some(f) = self.flows[slot].as_mut() else {
+            return;
+        };
+        f.done = true;
+        let delivered = f.volume - f.remaining;
+        for l in f.route.iter() {
+            let link = &mut self.links[l.0];
+            link.carried += delivered;
+            if let Some(i) = link.flows.iter().position(|&s| s == slot) {
+                link.flows.swap_remove(i);
+            }
+        }
+        let pos = f.live_pos;
+        self.live.swap_remove(pos);
+        if let Some(&moved) = self.live.get(pos) {
+            if let Some(m) = self.flows[moved].as_mut() {
+                m.live_pos = pos;
+            }
+        }
+    }
 }
 
 /// Future returned by [`FluidPool::transfer`].
@@ -938,7 +968,7 @@ mod tests {
             "sequential transfers must reuse slots, slab grew to {}",
             inner.flows.len()
         );
-        assert_eq!(inner.active, 0);
+        assert!(inner.live.is_empty());
     }
 
     // ------------------------------------------------------- oracle checks

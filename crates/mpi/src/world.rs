@@ -17,9 +17,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use xtsim_des::trace::{self, SpanCategory};
-use xtsim_des::{
-    oneshot, JoinHandle, OneshotSender, RebalanceStats, Sim, SimDuration, SimHandle, SimTime,
-};
+use xtsim_des::{oneshot, JoinHandle, OneshotSender, Sim, SimDuration, SimHandle, SimTime};
 use xtsim_machine::{ExecMode, MachineSpec, WorkPacket};
 use xtsim_net::{Platform, PlatformConfig, Rank, TrafficStats};
 
@@ -408,12 +406,6 @@ impl Mpi {
     /// Traffic statistics of the whole job.
     pub fn stats(&self) -> TrafficStats {
         self.world.platform.stats()
-    }
-
-    /// Work counters of the network fluid pool's incremental rebalancer
-    /// (see EXPERIMENTS.md, "Profiling the simulator").
-    pub fn net_rebalance_stats(&self) -> RebalanceStats {
-        self.world.platform.net_rebalance_stats()
     }
 }
 

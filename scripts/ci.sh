@@ -11,8 +11,9 @@
 # output paths), a serve smoke with a parallel-clients phase over the
 # shared memory tier and a too-deeply-nested body probe, and the bench gate
 # (including the >=2x memory-vs-disk cache acceptance check, the same-
-# instant flow-lane bench that guards the executor's indexed lanes, and the
-# spawn/join bench that guards its task storage).
+# instant flow-lane bench that guards the executor's indexed lanes, the
+# spawn/join bench that guards its task storage, and the lock-step fluid
+# bench that guards the fluid pool's once-per-instant advance).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -465,6 +466,7 @@ for name in (
     "des_events/flow_lanes_4k",
     "fluid_pool/flows_1k",
     "fluid_pool/flows_10k",
+    "fluid_pool/lockstep_1k",
     "alltoall_fluid/ranks_256",
     "alltoall_fluid/ranks_1024",
     "cache/cold_miss",

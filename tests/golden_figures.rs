@@ -1,6 +1,6 @@
-//! Golden-figure regression gate: five representative outputs (the system
-//! table, a network microbenchmark, a global HPCC sweep, the bidirectional
-//! bandwidth sweep, and an application figure) are pinned as JSON under
+//! Golden-figure regression gate: eleven quick-scale outputs (the system
+//! table, network microbenchmarks, global HPCC sweeps, the bidirectional
+//! bandwidth sweep, and application figures) are pinned as JSON under
 //! `tests/goldens/` and every regeneration must match them within a tight
 //! numeric tolerance.
 //!
@@ -8,7 +8,9 @@
 //!
 //! ```text
 //! cargo run --release -p xtsim-bench --bin figures -- \
-//!     --quick --no-cache --only table1,fig02,fig08,fig12,fig23 --out tests/goldens
+//!     --quick --no-cache \
+//!     --only table1,fig02,fig03,fig08,fig09,fig10,fig11,fig12,fig13,fig16,fig23 \
+//!     --out tests/goldens
 //! rm tests/goldens/*.csv
 //! ```
 //!
@@ -20,7 +22,10 @@ use xt4_repro::xtsim::figures::figure;
 use xt4_repro::xtsim::report::Scale;
 use xt4_repro::xtsim::sweep::{run_figure, SweepConfig};
 
-const GOLDEN_IDS: [&str; 5] = ["table1", "fig02", "fig08", "fig12", "fig23"];
+const GOLDEN_IDS: [&str; 11] = [
+    "table1", "fig02", "fig03", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig16",
+    "fig23",
+];
 
 /// Relative tolerance for numeric comparison. The engine is deterministic,
 /// so goldens normally match exactly; the headroom only absorbs libm-level

@@ -25,14 +25,15 @@
 //! figure runs: one that cannot be created exits 2 naming its flag, and a
 //! failed write exits 1 naming the file, never a panic.
 //!
-//! Observability: `--trace DIR` writes one Chrome trace-event JSON file per
-//! *computed* job into `DIR` (load in Perfetto / `chrome://tracing`), and
-//! `--metrics FILE` writes a machine-readable per-figure metrics record
-//! (cache hits/misses, wall-clock, simulated-time breakdown by span
-//! category, and each job's cost hint, start offset and wall time). Either
-//! flag enables trace capture inside the simulations.
+//! Observability: `--metrics FILE` writes the per-figure records the engine
+//! returns for every run (cache hits/misses, wall-clock, and each job's cost
+//! hint, start offset and wall time). `--trace DIR` is the one flag that
+//! turns span capture on: it writes one Chrome trace-event JSON file per
+//! *computed* job into `DIR` (load in Perfetto / `chrome://tracing`) and
+//! fills the records' simulated-time breakdown by span category.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use xtsim::ablations::all_ablations;
 use xtsim::cli::{parse_byte_size, parse_positive, parse_scale, select_figures};
@@ -151,9 +152,6 @@ fn make_config(args: &Args) -> SweepConfig {
     if let Some(dir) = &args.trace_dir {
         cfg = cfg.with_trace_dir(dir.clone());
     }
-    if args.metrics.is_some() {
-        cfg = cfg.with_metrics();
-    }
     cfg
 }
 
@@ -210,30 +208,28 @@ fn main() {
         if args.jobs == 1 { "" } else { "s" },
         if cfg.cache.is_some() { "on" } else { "off" },
     );
-    let mut total_computed = 0usize;
-    let mut total_cached = 0usize;
     let mut all_metrics: Vec<FigureMetrics> = Vec::new();
-    let t_all = std::time::Instant::now();
+    let t_all = Instant::now();
     for fig in figures {
-        let (result, stats) = run_figure(fig.spec(args.scale), &cfg);
+        let (result, m) = run_figure(fig.spec(args.scale), &cfg);
         println!("{}", result.render());
         println!(
             "({}: {} job(s), {} computed, {} cached, {:.1?})\n",
-            fig.id, stats.total, stats.computed, stats.cached, stats.wall
+            fig.id,
+            m.total_jobs,
+            m.computed,
+            m.cached,
+            Duration::from_secs_f64(m.wall_secs)
         );
-        if stats.key_mismatches > 0 {
+        if m.key_mismatches > 0 {
             eprintln!(
                 "warning: {}: {} cache entr{} failed key verification (recomputed)",
                 fig.id,
-                stats.key_mismatches,
-                if stats.key_mismatches == 1 { "y" } else { "ies" }
+                m.key_mismatches,
+                if m.key_mismatches == 1 { "y" } else { "ies" }
             );
         }
-        total_computed += stats.computed;
-        total_cached += stats.cached;
-        if let Some(m) = stats.metrics {
-            all_metrics.push(m);
-        }
+        all_metrics.push(m);
         let csv_path = args.out.join(format!("{}.csv", fig.id));
         write_output(&csv_path, result.to_csv().as_bytes());
         let json = serde_json::to_string_pretty(&result).expect("FigureResult serializes");
@@ -257,8 +253,8 @@ fn main() {
     println!(
         "results written to {} ({} job(s) computed, {} from cache, total {:.1?})",
         args.out.display(),
-        total_computed,
-        total_cached,
+        all_metrics.iter().map(|m| m.computed).sum::<usize>(),
+        all_metrics.iter().map(|m| m.cached).sum::<usize>(),
         t_all.elapsed()
     );
 }

@@ -2,14 +2,16 @@
 //! Offline stand-in for `criterion`: enough API for this workspace's bench
 //! targets (`benchmark_group`, `bench_function`, `bench_with_input`,
 //! `Throughput`, `BenchmarkId`, the `criterion_group!`/`criterion_main!`
-//! macros). Each benchmark runs a short fixed schedule (1 warmup + up to 16
-//! timed iterations, capped at ~200 ms) and prints **median** wall-clock time
-//! plus derived throughput — no statistics engine, no HTML reports.
+//! macros). Each benchmark runs a short fixed schedule (1 timed warmup + up
+//! to 16 timed iterations, capped at ~200 ms) and prints **median**
+//! wall-clock time plus derived throughput — no statistics engine, no HTML
+//! reports. A warmup that alone outlasts the budget is kept as the only
+//! sample, so a bench whose iteration takes minutes runs once, not twice.
 //!
 //! Environment knobs (used by `scripts/bench.sh`):
 //!
-//! * `XTSIM_BENCH_ONESHOT=1` — skip the warmup and run exactly one timed
-//!   iteration per benchmark (for capturing baselines of very slow benches).
+//! * `XTSIM_BENCH_ONESHOT=1` — run exactly one timed iteration per benchmark
+//!   (for capturing baselines of very slow benches).
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -142,21 +144,24 @@ pub struct Bencher {
     samples: Vec<Duration>,
 }
 
+/// Wall-clock budget of the timed iterations after the warmup.
+const BUDGET: Duration = Duration::from_millis(200);
+
 impl Bencher {
-    /// Run `f` on the shim schedule: one warmup, then timed iterations until
-    /// 16 have run or ~200 ms has elapsed. With `XTSIM_BENCH_ONESHOT=1` the
-    /// warmup is skipped and exactly one timed iteration runs.
+    /// Run `f` on the shim schedule: one timed warmup, then timed iterations
+    /// until 16 have run or `BUDGET` has elapsed. A warmup longer than the
+    /// budget is kept as the only sample. With `XTSIM_BENCH_ONESHOT=1` the
+    /// first iteration is always the only one.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        if std::env::var_os("XTSIM_BENCH_ONESHOT").is_some_and(|v| v == "1") {
-            let t0 = Instant::now();
-            black_box(f());
-            self.samples.push(t0.elapsed());
+        let t0 = Instant::now();
+        black_box(f());
+        let warmup = t0.elapsed();
+        if warmup > BUDGET || std::env::var_os("XTSIM_BENCH_ONESHOT").is_some_and(|v| v == "1") {
+            self.samples.push(warmup);
             return;
         }
-        black_box(f());
-        let budget = Duration::from_millis(200);
         let start = Instant::now();
-        while self.samples.len() < 16 && start.elapsed() < budget {
+        while self.samples.len() < 16 && start.elapsed() < BUDGET {
             let t0 = Instant::now();
             black_box(f());
             self.samples.push(t0.elapsed());
@@ -210,5 +215,24 @@ mod tests {
         });
         g.finish();
         assert!(count > 0);
+    }
+
+    #[test]
+    fn a_closure_slower_than_the_budget_runs_once() {
+        let mut b = Bencher {
+            samples: Vec::new(),
+        };
+        let mut calls = 0u32;
+        b.iter(|| {
+            calls += 1;
+            std::thread::sleep(BUDGET + Duration::from_millis(20));
+        });
+        assert_eq!(calls, 1);
+        assert_eq!(b.samples.len(), 1);
+        assert!(
+            b.samples[0] > BUDGET,
+            "the warmup is the sample: {:?}",
+            b.samples
+        );
     }
 }

@@ -16,6 +16,14 @@
 //! order), so a sweep's longest jobs start first instead of last; the hint
 //! moves only wall time, never an output byte.
 //!
+//! Record: [`run_figure`] returns a [`FigureMetrics`] with every figure —
+//! job counts, cache hits and key mismatches, wall time, and per job its
+//! digest, cost hint, start offset and wall time. Span capture
+//! ([`xtsim_des::trace`]) is on only when [`SweepConfig::trace_dir`] is
+//! set: each computed job then runs under capture, writes a Chrome trace
+//! and fills the record's span fields. Otherwise those fields stay zero,
+//! empty or null, and an instrumented operation costs one flag read.
+//!
 //! Caching: results live in the two-tier [`DiskCache`] (see
 //! [`crate::cache`]) — an in-memory LRU hot tier over one
 //! `{"key": ..., "value": ...}` JSON file per job in two-hex-prefix
@@ -33,7 +41,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{impl_serde_struct, Value};
 use xtsim_des::trace::{self, TraceData, TraceSummary};
@@ -195,33 +203,20 @@ pub struct SweepConfig {
     /// Result cache; `None` recomputes everything.
     pub cache: Option<DiskCache>,
     /// Directory receiving one Chrome trace-event JSON file per *computed*
-    /// job; `None` disables trace export.
+    /// job. Setting it is what turns span capture on; without it the
+    /// record's span fields stay zero, empty or null.
     pub trace_dir: Option<PathBuf>,
-    /// Collect per-job [`TraceSummary`]s and a per-figure [`FigureMetrics`]
-    /// record (implied by `trace_dir`).
-    pub collect_metrics: bool,
-}
-
-impl Default for SweepConfig {
-    fn default() -> SweepConfig {
-        SweepConfig {
-            jobs: 1,
-            cache: None,
-            trace_dir: None,
-            collect_metrics: false,
-        }
-    }
 }
 
 impl SweepConfig {
     /// Serial, uncached — the behaviour of the pre-engine harness.
     pub fn serial() -> SweepConfig {
-        SweepConfig::default()
+        SweepConfig::threads(1)
     }
 
     /// `n` worker threads, no cache.
     pub fn threads(n: usize) -> SweepConfig {
-        SweepConfig { jobs: n.max(1), ..SweepConfig::default() }
+        SweepConfig { jobs: n.max(1), cache: None, trace_dir: None }
     }
 
     /// Attach a cache.
@@ -230,20 +225,10 @@ impl SweepConfig {
         self
     }
 
-    /// Export per-job Chrome traces into `dir`.
+    /// Capture spans and export per-job Chrome traces into `dir`.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> SweepConfig {
         self.trace_dir = Some(dir.into());
         self
-    }
-
-    /// Collect a per-figure metrics record.
-    pub fn with_metrics(mut self) -> SweepConfig {
-        self.collect_metrics = true;
-        self
-    }
-
-    fn capture(&self) -> bool {
-        self.collect_metrics || self.trace_dir.is_some()
     }
 }
 
@@ -251,7 +236,7 @@ impl SweepConfig {
 #[derive(Debug, Clone)]
 pub struct JobMetrics {
     /// Job index within the figure spec.
-    pub index: u64,
+    pub index: usize,
     /// Generator family of the job's key.
     pub kind: String,
     /// Cache digest of the job's key.
@@ -265,28 +250,30 @@ pub struct JobMetrics {
     pub start_secs: f64,
     /// Host seconds spent inside the job's closure (0 for cache hits).
     pub wall_secs: f64,
-    /// Trace aggregate for computed jobs when capture was enabled.
+    /// Span aggregate of a computed job when the run was traced.
     pub trace: Option<TraceSummary>,
 }
 
 impl_serde_struct!(JobMetrics { index, kind, digest, cached, cost, start_secs, wall_secs, trace });
 
-/// Machine-readable per-figure metrics record: what ran, what hit the cache,
-/// and where simulated time went (categories from
-/// [`xtsim_des::trace::SpanCategory`]).
+/// What one figure run did: what ran, what hit the cache, when each job ran
+/// and, for a traced run, where simulated time went (categories from
+/// [`xtsim_des::trace::SpanCategory`]). [`run_figure`] returns one for every
+/// run.
 #[derive(Debug, Clone, Default)]
 pub struct FigureMetrics {
     /// Figure id, e.g. `"fig08"`.
     pub figure: String,
     /// Total sweep-point jobs.
-    pub total_jobs: u64,
+    pub total_jobs: usize,
     /// Jobs executed this run.
-    pub computed: u64,
+    pub computed: usize,
     /// Jobs answered from the cache.
-    pub cached: u64,
-    /// Cache entries rejected because the embedded key did not match.
-    pub key_mismatches: u64,
-    /// Wall-clock seconds for the whole figure.
+    pub cached: usize,
+    /// Cache entries whose embedded key did not match the requesting key
+    /// (treated as misses and recomputed).
+    pub key_mismatches: usize,
+    /// Wall-clock seconds for the whole figure (lookup, execute, assemble).
     pub wall_secs: f64,
     /// Simulated seconds per span category, summed over computed jobs.
     pub sim_secs_by_category: BTreeMap<String, f64>,
@@ -322,27 +309,8 @@ impl_serde_struct!(FigureMetrics {
     jobs,
 });
 
-/// What one figure run did.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    /// Total sweep-point jobs in the figure.
-    pub total: usize,
-    /// Jobs actually executed this run.
-    pub computed: usize,
-    /// Jobs answered from the cache.
-    pub cached: usize,
-    /// Cache entries whose embedded key did not match the requesting key
-    /// (treated as misses and recomputed).
-    pub key_mismatches: usize,
-    /// Wall-clock time for the whole figure (lookup + execute + assemble).
-    pub wall: Duration,
-    /// Metrics record, when [`SweepConfig::collect_metrics`] or a trace
-    /// directory was set.
-    pub metrics: Option<FigureMetrics>,
-}
-
-/// One computed job's result: its output value, the trace captured around
-/// it (when capture was on), and when it ran.
+/// One computed job's result: its output value, the spans captured around
+/// it (traced runs only), and when it ran.
 struct JobOutcome {
     value: Value,
     trace: Option<TraceData>,
@@ -354,34 +322,57 @@ struct JobOutcome {
 
 /// Execute a figure spec under `cfg`: cache-lookup every job (verifying the
 /// embedded key), run the misses on the worker pool — largest [`Job::cost`]
-/// first, optionally under trace capture — then persist fresh results,
-/// export traces, and assemble, all in job order.
-pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStats) {
+/// first, under span capture when `cfg.trace_dir` is set — then persist
+/// fresh results, export traces, and assemble, all in job order. Returns
+/// the figure and the run's [`FigureMetrics`].
+pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, FigureMetrics) {
     let t0 = Instant::now();
     let n = spec.jobs.len();
     // Serialize every key exactly once; both cache tiers address by the
     // prepared digest and verify against the prepared canonical JSON.
     let keys: Vec<PreparedKey> = spec.jobs.iter().map(|j| j.key.prepare()).collect();
-    let digests: Vec<&str> = keys.iter().map(|k| k.digest.as_str()).collect();
+    let mut m = FigureMetrics {
+        figure: spec.id.to_string(),
+        total_jobs: n,
+        jobs: spec
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| JobMetrics {
+                index,
+                kind: String::new(),
+                digest: String::new(),
+                cached: false,
+                cost: job.cost,
+                start_secs: 0.0,
+                wall_secs: 0.0,
+                trace: None,
+            })
+            .collect(),
+        ..FigureMetrics::default()
+    };
 
     // Slot per job; verified cache hits fill immediately, misses queue up.
     let mut slots: Vec<Option<Value>> = (0..n).map(|_| None).collect();
     let mut pending: Vec<usize> = Vec::new();
-    let mut key_mismatches = 0usize;
     for i in 0..n {
         match cfg.cache.as_ref().map(|c| c.load(&keys[i])) {
-            Some(CacheLookup::Hit(v)) => slots[i] = Some(v),
+            Some(CacheLookup::Hit(v)) => {
+                slots[i] = Some(v);
+                m.jobs[i].cached = true;
+            }
             Some(CacheLookup::KeyMismatch) => {
-                key_mismatches += 1;
+                m.key_mismatches += 1;
+                let digest = keys[i].digest.as_str();
                 xtsim_obs::events::warn(
                     "xtsim::sweep",
                     &format!(
-                        "cache entry {} does not match job {} ({}); recomputing",
-                        digests[i], i, spec.jobs[i].key.kind
+                        "cache entry {digest} does not match job {i} ({}); recomputing",
+                        spec.jobs[i].key.kind
                     ),
                     &[
                         ("figure", spec.id),
-                        ("digest", digests[i]),
+                        ("digest", digest),
                         ("job_index", &i.to_string()),
                         ("kind", &spec.jobs[i].key.kind),
                     ],
@@ -391,8 +382,9 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
             Some(CacheLookup::Miss) | None => pending.push(i),
         }
     }
-    let cached = n - pending.len();
-    let capture = cfg.capture();
+    m.computed = pending.len();
+    m.cached = n - pending.len();
+    let capture = cfg.trace_dir.is_some();
 
     // Dispatch order over the misses: largest cost hint first, ties in job
     // order (the sort is stable). Sweeps list their points in ascending
@@ -405,7 +397,7 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
     // atomic cursor (cheap work-stealing); results land in per-job mutexed
     // slots and are read back in job order, so scheduling order never leaks
     // into output. Each job runs single-threaded on whichever worker claims
-    // it, so thread-local trace capture brackets exactly that job's
+    // it, so thread-local span capture brackets exactly that job's
     // simulation.
     let workers = cfg.jobs.max(1).min(pending.len().max(1));
     let job_exec_seconds = xtsim_obs::histogram(
@@ -414,13 +406,11 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
     );
     let exec = |i: usize| -> JobOutcome {
         let start = t0.elapsed();
-        let (value, trace) = if capture {
+        if capture {
             trace::capture_begin();
-            let v = (spec.jobs[i].run)();
-            (v, trace::capture_end())
-        } else {
-            ((spec.jobs[i].run)(), None)
-        };
+        }
+        let value = (spec.jobs[i].run)();
+        let trace = if capture { trace::capture_end() } else { None };
         // One reading feeds both the histogram and the metrics record.
         let wall_secs = t0.elapsed().saturating_sub(start).as_secs_f64();
         job_exec_seconds.observe(wall_secs);
@@ -454,65 +444,41 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
         "xtsim_sweep_jobs_computed_total",
         "Sweep-point jobs executed (cache misses).",
     )
-    .add(pending.len() as u64);
+    .add(m.computed as u64);
     xtsim_obs::counter(
         "xtsim_sweep_jobs_cached_total",
         "Sweep-point jobs answered from the verified cache.",
     )
-    .add(cached as u64);
+    .add(m.cached as u64);
 
-    let mut metrics = capture.then(|| FigureMetrics {
-        figure: spec.id.to_string(),
-        total_jobs: n as u64,
-        computed: pending.len() as u64,
-        cached: cached as u64,
-        key_mismatches: key_mismatches as u64,
-        ..FigureMetrics::default()
-    });
-    if let (Some(m), true) = (metrics.as_mut(), cached > 0) {
-        for i in 0..n {
-            if slots[i].is_some() {
-                m.jobs.push(JobMetrics {
-                    index: i as u64,
-                    kind: spec.jobs[i].key.kind.clone(),
-                    digest: digests[i].to_string(),
-                    cached: true,
-                    cost: spec.jobs[i].cost,
-                    start_secs: 0.0,
-                    wall_secs: 0.0,
-                    trace: None,
-                });
-            }
-        }
-    }
     if let Some(dir) = &cfg.trace_dir {
         let _ = std::fs::create_dir_all(dir);
     }
-
     for (slot, &i) in fresh.iter().zip(&pending) {
         let out = slot.lock().unwrap().take().expect("worker filled every slot");
         if let Some(cache) = &cfg.cache {
             // Cache write failure is not a figure failure; drop the entry.
             let _ = cache.store(&keys[i], &out.value);
         }
-        if let Some(m) = metrics.as_mut() {
+        m.jobs[i].start_secs = out.start_secs;
+        m.jobs[i].wall_secs = out.wall_secs;
+        if let Some(dir) = &cfg.trace_dir {
             let td = out.trace.unwrap_or_default();
-            if let Some(dir) = &cfg.trace_dir {
-                let fname = format!("{}-job{:03}-{}.trace.json", spec.id, i, &digests[i][..8]);
-                let json = td.to_chrome_json(&[
-                    ("figure", Value::Str(spec.id.to_string())),
-                    ("jobIndex", Value::Int(i as i64)),
-                    ("kind", Value::Str(spec.jobs[i].key.kind.clone())),
-                    ("digest", Value::Str(digests[i].to_string())),
-                ]);
-                match std::fs::write(dir.join(&fname), json) {
-                    Ok(()) => m.trace_files.push(fname),
-                    Err(e) => xtsim_obs::events::warn(
-                        "xtsim::sweep",
-                        &format!("failed to write trace {fname}: {e}"),
-                        &[("figure", spec.id), ("file", &fname)],
-                    ),
-                }
+            let digest = keys[i].digest.as_str();
+            let fname = format!("{}-job{:03}-{}.trace.json", spec.id, i, &digest[..8]);
+            let json = td.to_chrome_json(&[
+                ("figure", Value::Str(spec.id.to_string())),
+                ("jobIndex", Value::Int(i as i64)),
+                ("kind", Value::Str(spec.jobs[i].key.kind.clone())),
+                ("digest", Value::Str(digest.to_string())),
+            ]);
+            match std::fs::write(dir.join(&fname), json) {
+                Ok(()) => m.trace_files.push(fname),
+                Err(e) => xtsim_obs::events::warn(
+                    "xtsim::sweep",
+                    &format!("failed to write trace {fname}: {e}"),
+                    &[("figure", spec.id), ("file", &fname)],
+                ),
             }
             let s = td.summary();
             for (cat, secs) in &s.secs_by_category {
@@ -524,40 +490,21 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, RunStat
             m.sim_total_secs += s.rank_busy_secs;
             m.spans += s.spans;
             m.dropped_spans += td.dropped;
-            m.jobs.push(JobMetrics {
-                index: i as u64,
-                kind: spec.jobs[i].key.kind.clone(),
-                digest: digests[i].to_string(),
-                cached: false,
-                cost: spec.jobs[i].cost,
-                start_secs: out.start_secs,
-                wall_secs: out.wall_secs,
-                trace: Some(s),
-            });
+            m.jobs[i].trace = Some(s);
         }
         slots[i] = Some(out.value);
-    }
-    if let Some(m) = metrics.as_mut() {
-        m.jobs.sort_by_key(|j| j.index);
     }
 
     let values: Vec<Value> = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
     let fig = (spec.assemble)(&values);
-    // One clock read for the whole figure: FigureMetrics.wall_secs and
-    // RunStats.wall must describe the same run, not two nearby instants.
-    let wall = t0.elapsed();
-    if let Some(m) = metrics.as_mut() {
-        m.wall_secs = wall.as_secs_f64();
+    // Nothing reads the keys after assembly: move their strings into the
+    // record instead of copying them per job.
+    for ((j, job), key) in m.jobs.iter_mut().zip(spec.jobs).zip(keys) {
+        j.kind = job.key.kind;
+        j.digest = key.digest;
     }
-    let stats = RunStats {
-        total: n,
-        computed: pending.len(),
-        cached,
-        key_mismatches,
-        wall,
-        metrics,
-    };
-    (fig, stats)
+    m.wall_secs = t0.elapsed().as_secs_f64();
+    (fig, m)
 }
 
 /// Build a JSON object from `(name, value)` pairs — the conventional shape of
@@ -581,6 +528,7 @@ mod tests {
     use super::*;
     use crate::report::Series;
     use std::sync::Arc;
+    use std::time::Duration;
     use xtsim_machine::presets;
 
     fn tiny_spec(mult: f64) -> FigureSpec {
@@ -633,12 +581,10 @@ mod tests {
 
         // Jobs 1 and 3 tie on the largest cost.
         let log = Arc::new(Mutex::new(Vec::new()));
-        let cfg = SweepConfig::serial().with_metrics();
-        let (fig, stats) = run_figure(logged_spec([20, 50, 5, 50, 30], &log), &cfg);
+        let (fig, m) = run_figure(logged_spec([20, 50, 5, 50, 30], &log), &SweepConfig::serial());
         assert_eq!(*log.lock().unwrap(), [1, 3, 4, 0, 2]);
         assert_eq!(json(&fig), json(&plain), "dispatch order leaked into the figure");
         // The metrics record stays in job order and shows the schedule.
-        let m = stats.metrics.expect("metrics collected");
         let costs: Vec<u64> = m.jobs.iter().map(|j| j.cost).collect();
         assert_eq!(costs, [20, 50, 5, 50, 30]);
         let starts: Vec<f64> = [1, 3, 4, 0, 2].iter().map(|&i| m.jobs[i].start_secs).collect();
@@ -756,15 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_wall_matches_run_stats_wall() {
-        // One clock read: the metrics record and RunStats must agree exactly
-        // (two separate t0.elapsed() calls used to make them drift).
-        let (_, stats) = run_figure(tiny_spec(2.0), &SweepConfig::serial().with_metrics());
-        let m = stats.metrics.expect("metrics collected");
-        assert_eq!(m.wall_secs, stats.wall.as_secs_f64());
-    }
-
-    #[test]
     fn stale_tmp_files_are_swept() {
         let dir = std::env::temp_dir().join(format!("xtsim-tmpsweep-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -821,6 +758,10 @@ mod tests {
         let (warm_fig, warm) = run_figure(tiny_spec(3.0), &cfg);
         assert_eq!((warm.computed, warm.cached), (0, 5));
         assert_eq!(warm_fig.series[0].points[4].1, 12.0);
+        // Every job is in the record, in job order, with no spans.
+        assert!(warm.jobs.iter().enumerate().all(|(i, j)| j.index == i && j.cached));
+        assert!(warm.jobs.iter().all(|j| j.wall_secs == 0.0 && j.trace.is_none()));
+        assert_eq!(warm.jobs[4].digest, cold.jobs[4].digest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -112,7 +112,7 @@ fn eviction_under_load_keeps_figures_byte_identical() {
     let cfg =
         SweepConfig::threads(4).with_cache(DiskCache::with_mem_cap(&dir, cap).unwrap());
     let (cold_fig, cold) = run_figure(fig02().spec(Scale::Quick), &cfg);
-    assert_eq!(cold.computed, cold.total);
+    assert_eq!(cold.computed, cold.total_jobs);
     assert_eq!(
         serde_json::to_string_pretty(&cold_fig).unwrap(),
         reference,
@@ -124,7 +124,7 @@ fn eviction_under_load_keeps_figures_byte_identical() {
         "memory residency {} exceeds the {cap}-byte cap after the cold run",
         stats.mem_bytes
     );
-    assert!(stats.mem_entries < cold.total as u64, "the hot tier held the whole sweep");
+    assert!(stats.mem_entries < cold.total_jobs as u64, "the hot tier held the whole sweep");
 
     let cfg =
         SweepConfig::threads(4).with_cache(DiskCache::with_mem_cap(&dir, cap).unwrap());

@@ -1,7 +1,8 @@
 //! End-to-end checks of the observability layer: a traced figure run must
 //! emit valid Chrome trace-event JSON whose per-category durations agree
 //! with the figure's metrics record, and the rank-time categories must sum
-//! to the record's reported total simulated time.
+//! to the record's reported total simulated time. An untraced run returns
+//! the same record with no spans.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,14 +22,12 @@ fn tmp_dir(tag: &str) -> PathBuf {
 #[test]
 fn traced_run_matches_metrics_record() {
     let trace_dir = tmp_dir("trace");
-    let cfg = SweepConfig::threads(2).with_trace_dir(&trace_dir).with_metrics();
+    let cfg = SweepConfig::threads(2).with_trace_dir(&trace_dir);
     let spec = xtsim::figures::figure("fig02").unwrap().spec(Scale::Quick);
-    let (_, stats) = run_figure(spec, &cfg);
-    let m = stats.metrics.expect("metrics collected");
+    let (_, m) = run_figure(spec, &cfg);
 
-    assert_eq!(m.computed as usize, stats.computed);
-    assert_eq!(m.total_jobs as usize, stats.total);
-    assert_eq!(m.trace_files.len(), stats.computed, "one trace per computed job");
+    assert_eq!(m.computed, m.total_jobs);
+    assert_eq!(m.trace_files.len(), m.computed, "one trace per computed job");
     assert!(m.spans > 0, "network figure produced no spans");
     assert_eq!(m.dropped_spans, 0);
     assert!(m.jobs.iter().filter(|j| !j.cached).all(|j| j.trace.is_some()));
@@ -85,20 +84,28 @@ fn traced_run_matches_metrics_record() {
 #[test]
 fn untraced_run_collects_no_metrics_and_same_figure() {
     let trace_dir = tmp_dir("off");
-    let plain = run_figure(
+    let (plain_fig, plain) = run_figure(
         xtsim::figures::figure("fig05").unwrap().spec(Scale::Quick),
         &SweepConfig::serial(),
     );
-    let traced = run_figure(
+    let (traced_fig, traced) = run_figure(
         xtsim::figures::figure("fig05").unwrap().spec(Scale::Quick),
-        &SweepConfig::serial().with_trace_dir(&trace_dir).with_metrics(),
+        &SweepConfig::serial().with_trace_dir(&trace_dir),
     );
-    assert!(plain.1.metrics.is_none());
-    assert!(traced.1.metrics.is_some());
+    // Without a trace directory the record has its jobs but no spans.
+    assert_eq!(plain.computed, plain.total_jobs);
+    assert_eq!(plain.jobs.len(), plain.total_jobs);
+    assert!(plain.jobs.iter().all(|j| j.trace.is_none() && j.wall_secs > 0.0));
+    assert_eq!((plain.spans, plain.dropped_spans, plain.sim_total_secs), (0, 0, 0.0));
+    assert!(plain.sim_secs_by_category.is_empty() && plain.span_counts_by_category.is_empty());
+    assert!(plain.trace_files.is_empty());
+    // With one, every computed job carries a summary and a trace file.
+    assert!(traced.jobs.iter().all(|j| j.trace.is_some()));
+    assert_eq!(traced.trace_files.len(), traced.computed);
     // Capture must not perturb simulated results.
     assert_eq!(
-        serde_json::to_string(&plain.0).unwrap(),
-        serde_json::to_string(&traced.0).unwrap()
+        serde_json::to_string(&plain_fig).unwrap(),
+        serde_json::to_string(&traced_fig).unwrap()
     );
     let _ = std::fs::remove_dir_all(&trace_dir);
 }

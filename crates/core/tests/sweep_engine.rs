@@ -60,13 +60,13 @@ fn warm_cache_skips_recomputation() {
     let cfg = SweepConfig::threads(4).with_cache(DiskCache::new(&dir).unwrap());
     let (cold_fig, cold) = run_figure(fig02().spec(Scale::Quick), &cfg);
     assert_eq!(cold.cached, 0);
-    assert_eq!(cold.computed, cold.total);
-    assert!(cold.total > 0);
+    assert_eq!(cold.computed, cold.total_jobs);
+    assert!(cold.total_jobs > 0);
 
     let cfg = SweepConfig::threads(4).with_cache(DiskCache::new(&dir).unwrap());
     let (warm_fig, warm) = run_figure(fig02().spec(Scale::Quick), &cfg);
     assert_eq!(warm.computed, 0, "warm run recomputed jobs");
-    assert_eq!(warm.cached, cold.total);
+    assert_eq!(warm.cached, cold.total_jobs);
     assert_eq!(
         serde_json::to_string_pretty(&cold_fig).unwrap(),
         serde_json::to_string_pretty(&warm_fig).unwrap(),
@@ -108,7 +108,7 @@ fn engine_version_bump_invalidates_cache() {
 
     let cfg = SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
     let (_, cold) = run_figure(fig05().spec(Scale::Quick), &cfg);
-    assert_eq!(cold.computed, cold.total);
+    assert_eq!(cold.computed, cold.total_jobs);
 
     // Same engine version: full hit.
     let cfg = SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
@@ -124,7 +124,7 @@ fn engine_version_bump_invalidates_cache() {
     let cfg = SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
     let (_, bumped) = run_figure(spec, &cfg);
     assert_eq!(bumped.cached, 0, "stale engine version hit the cache");
-    assert_eq!(bumped.computed, bumped.total);
+    assert_eq!(bumped.computed, bumped.total_jobs);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -139,7 +139,7 @@ fn corrupt_cache_entries_are_recomputed() {
     let fig05 = || xtsim::figures::figure("fig05").unwrap();
     let cfg = SweepConfig::serial().with_cache(DiskCache::with_mem_cap(&dir, 0).unwrap());
     let (_, cold) = run_figure(fig05().spec(Scale::Quick), &cfg);
-    assert_eq!(cold.computed, cold.total);
+    assert_eq!(cold.computed, cold.total_jobs);
 
     // Entries live in two-hex-prefix subdirectories; clobber every file in
     // the tree.
@@ -155,7 +155,7 @@ fn corrupt_cache_entries_are_recomputed() {
     }
     let cfg = SweepConfig::serial().with_cache(DiskCache::with_mem_cap(&dir, 0).unwrap());
     let (fig, stats) = run_figure(fig05().spec(Scale::Quick), &cfg);
-    assert_eq!(stats.computed, stats.total, "corrupt entries must miss");
+    assert_eq!(stats.computed, stats.total_jobs, "corrupt entries must miss");
     assert!(!fig.series.is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);

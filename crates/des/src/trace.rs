@@ -129,11 +129,6 @@ pub struct TraceSummary {
 }
 
 impl TraceData {
-    /// True when nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.dropped == 0
-    }
-
     /// Aggregate into per-category totals.
     pub fn summary(&self) -> TraceSummary {
         let mut s = TraceSummary::default();
@@ -148,13 +143,6 @@ impl TraceData {
             s.spans += 1;
         }
         s
-    }
-
-    /// Merge another capture's spans into this one (used when one job runs
-    /// several simulations — e.g. a benchmark that simulates both machines).
-    pub fn merge(&mut self, other: TraceData) {
-        self.spans.extend(other.spans);
-        self.dropped += other.dropped;
     }
 
     /// Render as Chrome trace-event JSON (the `traceEvents` array format),

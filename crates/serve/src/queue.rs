@@ -16,7 +16,6 @@ use std::time::Instant;
 
 use serde::impl_serde_struct;
 use xtsim::report::Scale;
-use xtsim::sweep::FigureMetrics;
 
 /// Queue telemetry handles (process-wide, registered once). Wall-clock
 /// only — the queue is pure harness, nothing here touches simulated time.
@@ -80,7 +79,9 @@ impl RunStatus {
     }
 }
 
-/// What the executor hands back for a completed run.
+/// What the executor hands back for a completed run: exactly what
+/// `GET /runs/<id>` and `GET /runs/<id>/result` serve. The full per-figure
+/// record goes to the registry, not into the run table.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Pretty-printed figure JSON, byte-identical to the `figures` CLI's
@@ -89,13 +90,9 @@ pub struct RunOutput {
     /// Wall-clock seconds for the figure run.
     pub wall_secs: f64,
     /// Jobs executed this run.
-    pub computed: u64,
+    pub computed: usize,
     /// Jobs answered from the cache.
-    pub cached: u64,
-    /// Cache entries rejected on key verification.
-    pub key_mismatches: u64,
-    /// Per-figure metrics record.
-    pub metrics: Option<FigureMetrics>,
+    pub cached: usize,
 }
 
 /// Full state of one run as tracked by the scheduler.
@@ -346,8 +343,6 @@ mod tests {
                 wall_secs: 0.0,
                 computed: 1,
                 cached: 0,
-                key_mismatches: 0,
-                metrics: None,
             })
         })
     }
@@ -389,8 +384,6 @@ mod tests {
                     wall_secs: 0.0,
                     computed: 0,
                     cached: 0,
-                    key_mismatches: 0,
-                    metrics: None,
                 })
             })
         };

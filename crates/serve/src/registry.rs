@@ -4,8 +4,8 @@
 //! dashboard's history is still there. Records are self-describing
 //! (`schema: "xtsim-registry-v1"`) and carry everything needed to
 //! reproduce or audit the run: engine version, canonical request params,
-//! outcome, wall-clock, and the per-figure [`FigureMetrics`] when
-//! collected. Appends are a single `write` of one line, so concurrent
+//! outcome, queue timing, and the run's per-figure [`FigureMetrics`]
+//! record. Appends are a single `write` of one line, so concurrent
 //! writers (or a crash mid-append) can at worst tear the final line —
 //! which [`Registry::replay`] tolerates by skipping it, counted.
 
@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use serde::Value;
 use xtsim::sweep::FigureMetrics;
 
-use crate::queue::RunRecord;
+use crate::queue::{RunRequest, RunStatus};
 
 /// Schema tag stamped into every record.
 pub const REGISTRY_SCHEMA: &str = "xtsim-registry-v1";
@@ -92,47 +92,49 @@ impl Registry {
     }
 }
 
-/// Build the registry record for a finished run. `finished_unix` is seconds
-/// since the Unix epoch, captured by the caller (the service's clock is the
-/// only wall clock in the stack; simulated results never depend on it).
-pub fn make_record(rec: &RunRecord, finished_unix: f64) -> Value {
+/// Build the registry record for a finished run. `outcome` is the run's
+/// record, or its error text when it failed. `wait_secs` is the time it sat
+/// queued and `exec_secs` the time the executor spent on it.
+/// `finished_unix` is seconds since the Unix epoch, captured by the caller
+/// (the service's clock is the only wall clock in the stack; simulated
+/// results never depend on it).
+pub fn make_record(
+    id: u64,
+    request: &RunRequest,
+    outcome: Result<&FigureMetrics, &str>,
+    wait_secs: f64,
+    exec_secs: f64,
+    finished_unix: f64,
+) -> Value {
     let mut m = std::collections::BTreeMap::new();
     m.insert("schema".into(), REGISTRY_SCHEMA.into());
-    m.insert("run_id".into(), rec.id.into());
+    m.insert("run_id".into(), id.into());
     m.insert("engine_version".into(), xtsim::sweep::ENGINE_VERSION.into());
-    m.insert("figure".into(), rec.request.figure.as_str().into());
-    m.insert("scale".into(), rec.request.scale.label().into());
+    m.insert("figure".into(), request.figure.as_str().into());
+    m.insert("scale".into(), request.scale.label().into());
     // Canonical params: everything that shaped the run, in one object.
     let mut params = std::collections::BTreeMap::new();
-    params.insert("figure".into(), rec.request.figure.as_str().into());
-    params.insert("scale".into(), rec.request.scale.label().into());
-    params.insert("jobs".into(), rec.request.jobs.into());
+    params.insert("figure".into(), request.figure.as_str().into());
+    params.insert("scale".into(), request.scale.label().into());
+    params.insert("jobs".into(), request.jobs.into());
     m.insert("params".into(), Value::Object(params));
-    m.insert("outcome".into(), rec.status.label().into());
     // Queue timing (absent on records from before these fields existed;
     // replay consumers must treat them as optional).
-    if let Some(w) = rec.wait_secs {
-        m.insert("wait_secs".into(), w.into());
-    }
-    if let Some(e) = rec.exec_secs {
-        m.insert("exec_secs".into(), e.into());
-    }
-    if let Some(e) = &rec.error {
-        m.insert("error".into(), e.as_str().into());
-    }
-    if let Some(out) = &rec.output {
-        m.insert("wall_secs".into(), out.wall_secs.into());
-        m.insert("computed".into(), out.computed.into());
-        m.insert("cached".into(), out.cached.into());
-        m.insert("key_mismatches".into(), out.key_mismatches.into());
-        m.insert(
-            "metrics".into(),
-            match &out.metrics {
-                Some(fm) => serde_json::to_value::<FigureMetrics>(fm)
-                    .expect("FigureMetrics serializes"),
-                None => Value::Null,
-            },
-        );
+    m.insert("wait_secs".into(), wait_secs.into());
+    m.insert("exec_secs".into(), exec_secs.into());
+    match outcome {
+        Ok(fm) => {
+            m.insert("outcome".into(), RunStatus::Done.label().into());
+            m.insert("wall_secs".into(), fm.wall_secs.into());
+            m.insert("computed".into(), fm.computed.into());
+            m.insert("cached".into(), fm.cached.into());
+            m.insert("key_mismatches".into(), fm.key_mismatches.into());
+            m.insert("metrics".into(), serde_json::to_value(fm).expect("FigureMetrics serializes"));
+        }
+        Err(e) => {
+            m.insert("outcome".into(), RunStatus::Failed.label().into());
+            m.insert("error".into(), e.into());
+        }
     }
     m.insert("finished_unix".into(), finished_unix.into());
     Value::Object(m)
@@ -141,33 +143,73 @@ pub fn make_record(rec: &RunRecord, finished_unix: f64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{RunOutput, RunRequest, RunStatus};
     use xtsim::report::Scale;
 
+    fn request(figure: &str) -> RunRequest {
+        RunRequest { figure: figure.into(), scale: Scale::Quick, jobs: 2 }
+    }
+
     fn record(id: u64, figure: &str, wall: f64) -> Value {
-        make_record(
-            &RunRecord {
-                id,
-                request: RunRequest {
-                    figure: figure.into(),
-                    scale: Scale::Quick,
-                    jobs: 2,
-                },
-                status: RunStatus::Done,
-                output: Some(RunOutput {
-                    result_json: "{}".into(),
-                    wall_secs: wall,
-                    computed: 3,
-                    cached: 1,
-                    key_mismatches: 0,
-                    metrics: None,
-                }),
-                error: None,
-                wait_secs: Some(0.25),
-                exec_secs: Some(wall),
-            },
-            1754000000.0 + id as f64,
-        )
+        let fm = FigureMetrics {
+            figure: figure.into(),
+            total_jobs: 4,
+            computed: 3,
+            cached: 1,
+            wall_secs: wall,
+            ..FigureMetrics::default()
+        };
+        make_record(id, &request(figure), Ok(&fm), 0.25, wall, 1754000000.0 + id as f64)
+    }
+
+    fn keys(v: &Value) -> Vec<&str> {
+        v.as_object().unwrap().keys().map(String::as_str).collect()
+    }
+
+    /// Each line keeps the keys it has always carried: the outcome's own
+    /// fields, and the run's record under `metrics`.
+    #[test]
+    fn record_keys_by_outcome() {
+        let done = record(1, "fig02", 1.5);
+        assert_eq!(
+            keys(&done),
+            [
+                "cached",
+                "computed",
+                "engine_version",
+                "exec_secs",
+                "figure",
+                "finished_unix",
+                "key_mismatches",
+                "metrics",
+                "outcome",
+                "params",
+                "run_id",
+                "scale",
+                "schema",
+                "wait_secs",
+                "wall_secs",
+            ]
+        );
+        let metrics = done.as_object().unwrap().get("metrics").unwrap();
+        assert_eq!(metrics.as_object().unwrap().get("total_jobs"), Some(&Value::Int(4)));
+        let failed = make_record(2, &request("fig02"), Err("boom"), 0.0, 0.1, 1754000000.0);
+        assert_eq!(
+            keys(&failed),
+            [
+                "engine_version",
+                "error",
+                "exec_secs",
+                "figure",
+                "finished_unix",
+                "outcome",
+                "params",
+                "run_id",
+                "scale",
+                "schema",
+                "wait_secs",
+            ]
+        );
+        assert_eq!(failed.as_object().unwrap().get("outcome").unwrap().as_str(), Some("failed"));
     }
 
     #[test]

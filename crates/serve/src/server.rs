@@ -16,11 +16,11 @@ use xtsim::ablations::all_ablations;
 use xtsim::cli::{parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
-use xtsim::sweep::{obj, run_figure, DiskCache, SweepConfig, ENGINE_VERSION};
+use xtsim::sweep::{obj, run_figure, DiskCache, FigureMetrics, SweepConfig, ENGINE_VERSION};
 
 use crate::dashboard;
 use crate::http::{read_request, write_response, Request, Response};
-use crate::queue::{Executor, Rejected, RunRecord, RunRequest, RunStatus, Scheduler};
+use crate::queue::{Executor, Rejected, RunOutput, RunRecord, RunRequest, RunStatus, Scheduler};
 use crate::registry::{make_record, Registry};
 
 /// Everything a request handler needs; shared across connection threads.
@@ -63,29 +63,23 @@ pub fn unix_now() -> f64 {
 /// registry. The result JSON is `serde_json::to_string_pretty` of the
 /// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
 /// `<id>.json` artifact for the same (figure, scale). Every run, and every
-/// concurrent client, shares `cache`'s memory tier.
+/// concurrent client, shares `cache`'s memory tier. The run's record goes
+/// to the registry; the run table keeps only what its routes serve.
 pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>) -> Executor {
     Arc::new(move |id: u64, req: &RunRequest, wait_secs: f64| {
-        let run = || -> Result<crate::queue::RunOutput, String> {
+        let run = || -> Result<(String, FigureMetrics), String> {
             let fig = catalog()
                 .into_iter()
                 .find(|f| f.id == req.figure)
                 .ok_or_else(|| format!("unknown figure id: {}", req.figure))?;
-            let mut cfg = SweepConfig::threads(req.jobs).with_metrics();
+            let mut cfg = SweepConfig::threads(req.jobs);
             if let Some(cache) = &cache {
                 cfg = cfg.with_cache(cache.clone());
             }
-            let (result, stats) = run_figure(fig.spec(req.scale), &cfg);
+            let (result, metrics) = run_figure(fig.spec(req.scale), &cfg);
             let result_json =
                 serde_json::to_string_pretty(&result).map_err(|e| format!("serialize: {e:?}"))?;
-            Ok(crate::queue::RunOutput {
-                result_json,
-                wall_secs: stats.wall.as_secs_f64(),
-                computed: stats.computed as u64,
-                cached: stats.cached as u64,
-                key_mismatches: stats.key_mismatches as u64,
-                metrics: stats.metrics,
-            })
+            Ok((result_json, metrics))
         };
         let started = Instant::now();
         let outcome = run();
@@ -99,16 +93,9 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
         }
         if let Some(reg) = &registry {
             // Record the outcome either way; a failed run is history too.
-            let rec = RunRecord {
-                id,
-                request: req.clone(),
-                status: if outcome.is_ok() { RunStatus::Done } else { RunStatus::Failed },
-                output: outcome.as_ref().ok().cloned(),
-                error: outcome.as_ref().err().cloned(),
-                wait_secs: Some(wait_secs),
-                exec_secs: Some(exec_secs),
-            };
-            if let Err(e) = reg.append(&make_record(&rec, unix_now())) {
+            let recorded = outcome.as_ref().map(|(_, m)| m).map_err(String::as_str);
+            let record = make_record(id, req, recorded, wait_secs, exec_secs, unix_now());
+            if let Err(e) = reg.append(&record) {
                 xtsim_obs::events::warn(
                     "xtsim_serve::executor",
                     &format!("registry append failed: {e}"),
@@ -116,7 +103,12 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
                 );
             }
         }
-        outcome
+        outcome.map(|(result_json, m)| RunOutput {
+            result_json,
+            wall_secs: m.wall_secs,
+            computed: m.computed,
+            cached: m.cached,
+        })
     })
 }
 
@@ -410,7 +402,6 @@ pub fn serve(listener: TcpListener, state: Arc<AppState>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::RunOutput;
     use std::collections::BTreeMap as Map;
 
     fn stub_state() -> AppState {
@@ -420,8 +411,6 @@ mod tests {
                 wall_secs: 0.01,
                 computed: 2,
                 cached: 1,
-                key_mismatches: 0,
-                metrics: None,
             })
         });
         AppState {

@@ -7,7 +7,8 @@
 # cache-disabled quick-scale smoke run of the figures binary itself, a
 # rerun over a damaged cache that must match an uncached run, a
 # trace/metrics export smoke, a dispatch-order check (largest cost hint
-# first), CLI validation checks (bad tokens, missing values, uncreatable
+# first) that also checks a --metrics run without --trace captures no
+# spans, CLI validation checks (bad tokens, missing values, uncreatable
 # output paths), a serve smoke with a parallel-clients phase over the
 # shared memory tier and a too-deeply-nested body probe, and the bench gate
 # (including the >=2x memory-vs-disk cache acceptance check, the same-
@@ -188,7 +189,8 @@ rm -rf "$out"
 echo "== dispatch order (cache misses start largest cost hint first) =="
 # fig18 lists each POP ladder in ascending task count; with one worker the
 # start offsets in the metrics record give the dispatch order directly,
-# whatever the machine's speed.
+# whatever the machine's speed. Without --trace the record carries no
+# spans: only --trace turns span capture on.
 out="$(mktemp -d)"
 cargo run --release -p xtsim-bench --bin figures -- \
     --quick --only fig18 --no-cache --jobs 1 --out "$out" \
@@ -200,6 +202,9 @@ jobs = sorted((j for j in fig["jobs"] if not j["cached"]), key=lambda j: j["star
 costs = [j["cost"] for j in jobs]
 assert len(costs) == fig["computed"] > 1, fig
 assert all(a >= b for a, b in zip(costs, costs[1:])), f"fig18 dispatched out of cost order: {costs}"
+assert fig["spans"] == 0, f"--metrics without --trace captured {fig['spans']} spans"
+assert fig["trace_files"] == [], f"--metrics without --trace wrote traces: {fig['trace_files']}"
+assert all(j["trace"] is None for j in fig["jobs"]), "a job carries a trace summary without --trace"
 EOF
 rm -rf "$out"
 

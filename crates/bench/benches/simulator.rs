@@ -300,9 +300,9 @@ fn cache_spec(n_jobs: usize, floats: usize) -> xtsim::sweep::FigureSpec {
 }
 
 /// Two-tier cache path costs: cold miss (compute + store), warm disk hit
-/// (read + parse + verify, hot tier off), warm memory hit (map lookup +
+/// (read + verify + parse, memory tier off), warm memory hit (map lookup +
 /// verify only), and an 8-thread concurrent mixed load/store. The
-/// acceptance gate for the hot tier is `warm_memory_hit` at least 2x
+/// acceptance gate for the memory tier is `warm_memory_hit` at least 2x
 /// faster than `warm_disk_hit` — checked by `scripts/ci.sh` against the
 /// medians this group prints.
 fn bench_cache(c: &mut Criterion) {
@@ -314,44 +314,32 @@ fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
     g.sample_size(10);
 
-    // Cold: every iteration gets a fresh directory (and, because hot tiers
-    // are registered per directory, a fresh empty memory tier): all misses,
-    // compute + store both tiers.
+    // Cold: every iteration opens a fresh directory, so its handle starts
+    // with an empty memory tier: all misses, compute + store both tiers.
     g.bench_function("cold_miss", |b| {
         b.iter(|| {
             let dir = root.join(format!("cold-{}", UNIQ.fetch_add(1, Ordering::Relaxed)));
-            let cfg = SweepConfig::serial()
-                .with_cache(DiskCache::with_mem_cap(&dir, 64 * 1024 * 1024).unwrap());
+            let cfg = SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
             run_figure(cache_spec(n_jobs, floats), &cfg).0
         });
     });
 
-    // Warm disk: entries on disk, hot tier disabled (cap 0) — every lookup
-    // reads and parses the entry file. The cache handle is built once
-    // outside the timed loop so open-time work (the tmp-file sweep)
+    // Warm disk: entries on disk, memory tier disabled (cap 0) — every
+    // lookup reads and parses the entry file. The cache handle is built
+    // once outside the timed loop so open-time work (the tmp-file sweep)
     // doesn't dilute the lookup cost being measured.
-    let disk_dir = root.join("warm-disk");
-    {
-        let cfg = SweepConfig::serial()
-            .with_cache(DiskCache::with_mem_cap(&disk_dir, 0).unwrap());
-        run_figure(cache_spec(n_jobs, floats), &cfg); // populate
-    }
-    let disk_cfg =
-        SweepConfig::serial().with_cache(DiskCache::with_mem_cap(&disk_dir, 0).unwrap());
+    let disk_cfg = SweepConfig::serial()
+        .with_cache(DiskCache::with_mem_cap(root.join("warm-disk"), 0).unwrap());
+    run_figure(cache_spec(n_jobs, floats), &disk_cfg); // populate
     g.bench_function("warm_disk_hit", |b| {
         b.iter(|| run_figure(cache_spec(n_jobs, floats), &disk_cfg).0);
     });
 
-    // Warm memory: same corpus, hot tier enabled and pre-promoted — every
-    // lookup is a map probe + key comparison, no filesystem or parse.
-    let mem_dir = root.join("warm-mem");
-    {
-        let cfg = SweepConfig::serial()
-            .with_cache(DiskCache::with_mem_cap(&mem_dir, 64 * 1024 * 1024).unwrap());
-        run_figure(cache_spec(n_jobs, floats), &cfg); // populate + promote
-    }
-    let mem_cfg = SweepConfig::serial()
-        .with_cache(DiskCache::with_mem_cap(&mem_dir, 64 * 1024 * 1024).unwrap());
+    // Warm memory: same corpus, stored through the handle that is timed, so
+    // every entry is resident in its memory tier — every lookup is a map
+    // probe + key comparison, no filesystem or parse.
+    let mem_cfg = SweepConfig::serial().with_cache(DiskCache::new(root.join("warm-mem")).unwrap());
+    run_figure(cache_spec(n_jobs, floats), &mem_cfg); // populate both tiers
     g.bench_function("warm_memory_hit", |b| {
         b.iter(|| run_figure(cache_spec(n_jobs, floats), &mem_cfg).0);
     });
@@ -359,7 +347,7 @@ fn bench_cache(c: &mut Criterion) {
     // 8 threads hammering one shared cache with a 3:1 load:store mix: the
     // lock-contention figure for concurrent serve traffic.
     let mixed_dir = root.join("mixed");
-    let mixed = DiskCache::with_mem_cap(&mixed_dir, 64 * 1024 * 1024).unwrap();
+    let mixed = DiskCache::new(&mixed_dir).unwrap();
     let keys: Vec<xtsim::sweep::PreparedKey> = {
         use xtsim::report::Scale;
         use xtsim::sweep::JobKey;

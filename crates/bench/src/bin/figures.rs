@@ -4,8 +4,7 @@
 //! ```text
 //! figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]
 //!         [--ablations] [--jobs N] [--no-cache]
-//!         [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]
-//!         [--trace DIR] [--metrics FILE]
+//!         [--cache-dir DIR] [--out DIR] [--trace DIR] [--metrics FILE]
 //! ```
 //!
 //! Default scale is `--quick` (reduced sweeps, seconds per figure); `--full`
@@ -16,9 +15,8 @@
 //! available parallelism), and results are cached content-addressed under
 //! `results/cache/` (override with `--cache-dir`, disable with `--no-cache`)
 //! so a rerun only recomputes what changed. The cache, opened once for all
-//! figures, is two-tier: an in-memory LRU hot tier (`--cache-mem-cap`, e.g.
-//! `64m`/`512k`, `0` disables; default 64 MiB) over the on-disk store. Output
-//! is byte-identical for any `--jobs` value, warm or cold, whatever the cap.
+//! figures, is two-tier: this run's in-memory tier over the on-disk store.
+//! Output is byte-identical for any `--jobs` value, warm or cold.
 //!
 //! Results are printed and also written to `DIR` (default `results/`) as
 //! `<id>.csv` and `<id>.json`. Output locations are created before the first
@@ -36,10 +34,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use xtsim::ablations::all_ablations;
-use xtsim::cli::{parse_byte_size, parse_positive, parse_scale, select_figures};
+use xtsim::cli::{parse_positive, parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
-use xtsim::sweep::{run_figure, DiskCache, FigureMetrics, SweepConfig, DEFAULT_MEM_CAP};
+use xtsim::sweep::{run_figure, DiskCache, FigureMetrics, SweepConfig};
 
 struct Args {
     scale: Scale,
@@ -49,7 +47,6 @@ struct Args {
     jobs: usize,
     cache: bool,
     cache_dir: PathBuf,
-    cache_mem_cap: u64,
     trace_dir: Option<PathBuf>,
     metrics: Option<PathBuf>,
 }
@@ -67,7 +64,6 @@ fn parse_args() -> Args {
         jobs: default_jobs(),
         cache: true,
         cache_dir: DiskCache::default_dir(),
-        cache_mem_cap: DEFAULT_MEM_CAP,
         trace_dir: None,
         metrics: None,
     };
@@ -110,22 +106,13 @@ fn parse_args() -> Args {
             }
             "--no-cache" => args.cache = false,
             "--cache-dir" => args.cache_dir = PathBuf::from(need(&mut it, "--cache-dir")),
-            "--cache-mem-cap" => {
-                let v = need(&mut it, "--cache-mem-cap");
-                args.cache_mem_cap =
-                    parse_byte_size("--cache-mem-cap", &v).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    });
-            }
             "--trace" => args.trace_dir = Some(PathBuf::from(need(&mut it, "--trace"))),
             "--metrics" => args.metrics = Some(PathBuf::from(need(&mut it, "--metrics"))),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--full|--quick|--scale quick|full] [--only ID[,ID...]] [--all]\n\
                      \x20              [--ablations] [--jobs N] [--no-cache]\n\
-                     \x20              [--cache-dir DIR] [--cache-mem-cap BYTES] [--out DIR]\n\
-                     \x20              [--trace DIR] [--metrics FILE]"
+                     \x20              [--cache-dir DIR] [--out DIR] [--trace DIR] [--metrics FILE]"
                 );
                 std::process::exit(0);
             }
@@ -141,7 +128,7 @@ fn parse_args() -> Args {
 fn make_config(args: &Args) -> SweepConfig {
     let mut cfg = SweepConfig::threads(args.jobs);
     if args.cache {
-        match DiskCache::with_mem_cap(&args.cache_dir, args.cache_mem_cap) {
+        match DiskCache::new(&args.cache_dir) {
             Ok(cache) => cfg = cfg.with_cache(cache),
             Err(e) => eprintln!(
                 "warning: cannot open cache at {}: {e}; running uncached",

@@ -1,22 +1,23 @@
-//! Two-tier content-addressed result cache: a process-wide in-memory hot
-//! tier with byte-bounded LRU eviction, layered over a prefix-sharded
-//! on-disk store.
+//! Two-tier content-addressed result cache: an in-memory tier owned by each
+//! cache handle, layered over a prefix-sharded on-disk store.
 //!
 //! Every figure sweep, calibration pass, and serve request funnels through
 //! here, and the dominant access pattern is *mostly-warm repetition*: the
 //! same sweep points looked up again and again across figures, reruns, and
-//! concurrent service clients. The hot tier answers those repeats with one
-//! mutex acquisition and a key comparison — no filesystem read, no JSON
+//! concurrent service clients. The memory tier answers those repeats with
+//! one mutex acquisition and a key comparison — no filesystem read, no JSON
 //! parse.
 //!
 //! ## Tiers
 //!
-//! * **Memory** — one LRU of parsed [`Value`]s behind one `Mutex`, under
-//!   a byte budget (`--cache-mem-cap`, default [`DEFAULT_MEM_CAP`]).
-//!   Inserting past the budget evicts least-recently-used entries first,
-//!   and a value larger than the whole budget is never admitted, so
-//!   residency is bounded by the cap. A lookup holds the lock for a map
-//!   lookup and an `Arc` clone; the value is deep-copied after release.
+//! * **Memory** — parsed [`Value`]s behind one `Mutex`, under a byte budget
+//!   ([`DEFAULT_MEM_CAP`]; `0` keeps the cache on disk only). A value is
+//!   admitted only while residency stays within the budget, so residency is
+//!   bounded without evicting anything: once the tier is full, further
+//!   values are served from disk. Every figure and ablation at both scales
+//!   comes to about 0.5 MB of entries, far below the default budget. A
+//!   lookup holds the lock for a map lookup and an `Arc` clone; the value
+//!   is deep-copied after release.
 //! * **Disk** — one JSON file per digest under a two-hex-prefix
 //!   subdirectory (`<dir>/<d[0..2]>/<digest>.json`), so a full-scale sweep
 //!   corpus never piles tens of thousands of files into one directory.
@@ -26,18 +27,21 @@
 //!
 //! An entry — memory or disk — stores the canonical JSON of the
 //! [`JobKey`](crate::sweep::JobKey) it was recorded under, and a lookup
-//! only hits when that matches the requesting key byte-for-byte. A digest
-//! collision, a corrupted file, or a poisoned memory entry therefore
-//! becomes a [`CacheLookup::KeyMismatch`] (recompute), never a wrong value.
-//! The requesting key is serialized **once per job** into a
-//! [`PreparedKey`] and threaded through load/store, instead of being
-//! re-serialized at every verification site.
+//! only hits when that matches the requesting key byte-for-byte. A disk
+//! entry, `{"key":…,"value_digest":"…","value":…}`, also carries the digest
+//! of its value's JSON, checked before the value is parsed. A digest
+//! collision or a poisoned memory entry is a [`CacheLookup::KeyMismatch`];
+//! a truncated or corrupted file, or one without a value digest, is a
+//! [`CacheLookup::Miss`]. Either way the job is recomputed: a damaged entry
+//! is never a wrong value. The requesting key is serialized **once per
+//! job** into a [`PreparedKey`] and threaded through load/store, instead of
+//! being re-serialized at every verification site.
 //!
-//! Sharing: a front end opens its cache once and clones the handle; a
-//! clone shares the directory and the memory tier. Hot tiers are also
-//! registered process-wide *per cache directory* (canonicalized), so a
-//! second open of the same directory shares the tier too, while caches
-//! rooted elsewhere (tests, scratch sweeps) stay isolated.
+//! Sharing: the memory tier belongs to the handle. A front end opens its
+//! cache once and clones the handle, and a clone shares the directory and
+//! the memory tier. A second open of the same directory shares only the
+//! disk and starts with an empty memory tier, and dropping the last handle
+//! frees its tier.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -48,7 +52,7 @@ use std::time::Duration;
 use serde::{impl_serde_struct, Value};
 use xtsim_machine::fingerprint::hex_digest;
 
-/// Default in-memory hot-tier budget (bytes): 64 MiB.
+/// Memory-tier byte budget of [`DiskCache::new`]: 64 MiB.
 pub const DEFAULT_MEM_CAP: u64 = 64 * 1024 * 1024;
 
 /// A job key serialized once: the canonical JSON encoding plus the digest
@@ -99,7 +103,7 @@ pub struct CacheStats {
     pub mem_entries: u64,
     /// Bytes resident in the memory tier (serialized-entry accounting).
     pub mem_bytes: u64,
-    /// Memory-tier byte budget (0 = hot tier disabled).
+    /// Memory-tier byte budget (0 = disk only).
     pub mem_cap_bytes: u64,
 }
 
@@ -126,7 +130,6 @@ struct CacheMetrics {
     store_bytes: Arc<xtsim_obs::Counter>,
     lookup_seconds_mem: Arc<xtsim_obs::Histogram>,
     lookup_seconds_disk: Arc<xtsim_obs::Histogram>,
-    mem_evictions: Arc<xtsim_obs::Counter>,
     mem_oversize: Arc<xtsim_obs::Counter>,
     mem_bytes: Arc<xtsim_obs::Gauge>,
     mem_entries: Arc<xtsim_obs::Gauge>,
@@ -184,13 +187,9 @@ fn cache_metrics() -> &'static CacheMetrics {
                 latency_help,
                 &[("tier", "disk")],
             ),
-            mem_evictions: xtsim_obs::counter(
-                "xtsim_cache_mem_evictions_total",
-                "Memory-tier entries evicted by the byte-budgeted LRU.",
-            ),
             mem_oversize: xtsim_obs::counter(
                 "xtsim_cache_mem_oversize_total",
-                "Values larger than the memory-tier budget (never admitted).",
+                "Values not admitted to the memory tier because it is at its byte budget.",
             ),
             mem_bytes: xtsim_obs::gauge(
                 "xtsim_cache_mem_bytes",
@@ -204,25 +203,21 @@ fn cache_metrics() -> &'static CacheMetrics {
     })
 }
 
-// ----------------------------------------------------------------- hot tier
+// -------------------------------------------------------------- memory tier
 
 struct MemEntry {
     key_json: String,
     value: Arc<Value>,
     bytes: u64,
-    tick: u64,
 }
 
-/// The in-memory hot tier for one cache directory: a byte-budgeted LRU
-/// behind one `Mutex`.
+/// The memory tier of one cache handle and its clones: parsed values under
+/// a byte budget, behind one `Mutex`. Nothing is ever evicted; a value that
+/// would take residency past the budget is not admitted.
 #[derive(Default)]
-struct Lru {
+struct MemTier {
     /// Digest → entry. BTreeMap: point lookups only, deterministic walks.
     entries: BTreeMap<String, MemEntry>,
-    /// Recency tick → digest; the smallest tick is the LRU victim.
-    order: BTreeMap<u64, String>,
-    /// Last recency tick handed out.
-    tick: u64,
     /// Bytes resident (serialized-entry accounting).
     bytes: u64,
     /// Byte budget; 0 disables the tier.
@@ -235,7 +230,7 @@ enum MemLookup {
     KeyMismatch,
 }
 
-impl Lru {
+impl MemTier {
     fn publish(&self) {
         let m = cache_metrics();
         m.mem_bytes.set(self.bytes);
@@ -244,31 +239,12 @@ impl Lru {
 
     fn remove(&mut self, digest: &str) {
         if let Some(e) = self.entries.remove(digest) {
-            self.order.remove(&e.tick);
             self.bytes -= e.bytes;
         }
-    }
-
-    /// Evict LRU entries until the tier holds at most `budget` bytes.
-    fn evict_to(&mut self, budget: u64) {
-        while self.bytes > budget {
-            let Some((_, digest)) = self.order.pop_first() else { break };
-            let e = self.entries.remove(&digest).expect("lru digest present");
-            self.bytes -= e.bytes;
-            cache_metrics().mem_evictions.inc();
-        }
-    }
-
-    /// Re-budget the tier (a front end passing `--cache-mem-cap` onto an
-    /// already-registered directory), evicting down if it shrank.
-    fn set_cap(&mut self, cap: u64) {
-        self.cap = cap;
-        self.evict_to(cap);
-        self.publish();
     }
 
     fn lookup(&mut self, key: &PreparedKey) -> MemLookup {
-        let Some(e) = self.entries.get_mut(&key.digest) else {
+        let Some(e) = self.entries.get(&key.digest) else {
             return MemLookup::Miss;
         };
         if e.key_json != key.key_json {
@@ -279,11 +255,6 @@ impl Lru {
             self.publish();
             return MemLookup::KeyMismatch;
         }
-        // Touch: move the entry to the MRU end of the recency order.
-        self.tick += 1;
-        let digest = self.order.remove(&e.tick).expect("lru tick present");
-        self.order.insert(self.tick, digest);
-        e.tick = self.tick;
         MemLookup::Hit(Arc::clone(&e.value))
     }
 
@@ -291,69 +262,45 @@ impl Lru {
         if self.cap == 0 {
             return;
         }
-        if bytes > self.cap {
-            cache_metrics().mem_oversize.inc();
-            return;
-        }
         self.remove(&key.digest);
-        self.evict_to(self.cap - bytes);
-        self.tick += 1;
-        self.order.insert(self.tick, key.digest.clone());
-        self.bytes += bytes;
-        let entry = MemEntry { key_json: key.key_json.clone(), value, bytes, tick: self.tick };
-        self.entries.insert(key.digest.clone(), entry);
+        if self.bytes + bytes > self.cap {
+            cache_metrics().mem_oversize.inc();
+        } else {
+            self.bytes += bytes;
+            let entry = MemEntry { key_json: key.key_json.clone(), value, bytes };
+            self.entries.insert(key.digest.clone(), entry);
+        }
         self.publish();
     }
 }
 
-/// Process-wide hot tiers, one per (canonicalized) cache directory: every
-/// `DiskCache` opened onto the same directory shares one memory tier;
-/// caches rooted elsewhere stay isolated. An explicit `cap` re-budgets the
-/// directory's tier; a plain open (`DiskCache::new`) leaves it alone.
-fn mem_for_dir(dir: &Path, cap: Option<u64>) -> Arc<Mutex<Lru>> {
-    static REG: OnceLock<Mutex<BTreeMap<PathBuf, Arc<Mutex<Lru>>>>> = OnceLock::new();
-    let key = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
-    let mut reg = REG.get_or_init(Default::default).lock().expect("mem-cache registry lock");
-    let mem = reg
-        .entry(key)
-        .or_insert_with(|| Arc::new(Mutex::new(Lru { cap: DEFAULT_MEM_CAP, ..Lru::default() })));
-    if let Some(cap) = cap {
-        mem.lock().expect("mem-cache lock").set_cap(cap);
-    }
-    Arc::clone(mem)
-}
-
 // ---------------------------------------------------------------- disk tier
 
-/// Two-tier content-addressed job cache: an in-memory LRU hot tier over one
-/// JSON file per digest in two-hex-prefix subdirectories. A clone is another
-/// handle on the same directory and hot tier.
+/// Two-tier content-addressed job cache: a memory tier owned by this handle
+/// over one JSON file per digest in two-hex-prefix subdirectories. A clone
+/// is another handle on the same directory and memory tier.
 #[derive(Clone)]
 pub struct DiskCache {
     dir: PathBuf,
-    mem: Arc<Mutex<Lru>>,
+    mem: Arc<Mutex<MemTier>>,
 }
 
 impl DiskCache {
-    /// Open (creating if needed) a cache rooted at `dir` with the default
-    /// memory-tier budget — or whatever budget the directory's hot tier was
-    /// already configured with this process. Temp files leaked by writers
-    /// that died between write and rename are swept — see
+    /// Open (creating if needed) a cache rooted at `dir` with an empty
+    /// memory tier of [`DEFAULT_MEM_CAP`] bytes. Temp files leaked by
+    /// writers that died between write and rename are swept — see
     /// [`DiskCache::sweep_stale_tmp`].
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<DiskCache> {
-        DiskCache::open(dir.into(), None)
+        DiskCache::with_mem_cap(dir, DEFAULT_MEM_CAP)
     }
 
-    /// Open a cache with an explicit memory-tier byte budget (`0` disables
-    /// the hot tier). Re-budgets the directory's process-wide hot tier if
-    /// it already exists, evicting down as needed.
+    /// Open a cache whose memory tier holds at most `cap_bytes` (`0` keeps
+    /// it on disk only).
     pub fn with_mem_cap(dir: impl Into<PathBuf>, cap_bytes: u64) -> std::io::Result<DiskCache> {
-        DiskCache::open(dir.into(), Some(cap_bytes))
-    }
-
-    fn open(dir: PathBuf, cap: Option<u64>) -> std::io::Result<DiskCache> {
+        let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let cache = DiskCache { mem: mem_for_dir(&dir, cap), dir };
+        let mem = MemTier { cap: cap_bytes, ..MemTier::default() };
+        let cache = DiskCache { dir, mem: Arc::new(Mutex::new(mem)) };
         cache.sweep_stale_tmp(STALE_TMP_MAX_AGE);
         Ok(cache)
     }
@@ -373,11 +320,11 @@ impl DiskCache {
     }
 
     /// Load and *verify* the cached entry for `key`: memory tier first
-    /// (map lookup plus byte-exact key comparison), then disk (read,
-    /// parse, and key verification, promoting the value into the memory
-    /// tier on a hit). A digest collision, a foreign entry, or a poisoned
-    /// memory entry is a [`CacheLookup::KeyMismatch`] — callers must
-    /// recompute, exactly as for a plain miss.
+    /// (map lookup plus byte-exact key comparison), then disk (read, key
+    /// and value-digest verification, parse, promoting the value into the
+    /// memory tier on a hit). A digest collision, a foreign entry, or a
+    /// poisoned memory entry is a [`CacheLookup::KeyMismatch`] — callers
+    /// must recompute, exactly as for a plain miss.
     pub fn load(&self, key: &PreparedKey) -> CacheLookup {
         let m = cache_metrics();
         let sw = xtsim_obs::Stopwatch::start();
@@ -411,37 +358,40 @@ impl DiskCache {
         let Ok(text) = std::fs::read_to_string(self.path_for(&key.digest)) else {
             return CacheLookup::Miss;
         };
-        let Ok(entry) = serde_json::from_str::<Value>(&text) else {
-            return CacheLookup::Miss; // corrupt file: plain miss
+        let Some(rest) = text.strip_prefix("{\"key\":").and_then(|t| t.strip_prefix(&*key.key_json))
+        else {
+            // A well-formed entry under another key is a digest collision;
+            // anything else is a damaged file.
+            let foreign = serde_json::from_str::<Value>(&text)
+                .is_ok_and(|v| v.as_object().is_some_and(|o| o.contains_key("key")));
+            return if foreign { CacheLookup::KeyMismatch } else { CacheLookup::Miss };
         };
-        let Value::Object(mut obj) = entry else {
+        let Some(value) = verified_value(rest).and_then(|v| serde_json::from_str::<Value>(v).ok())
+        else {
             return CacheLookup::Miss;
         };
-        let stored = obj.get("key").map(|k| serde_json::to_string(k).expect("Value serializes"));
-        if stored.as_deref() != Some(key.key_json.as_str()) {
-            return CacheLookup::KeyMismatch;
-        }
-        match obj.remove("value") {
-            Some(v) => {
-                let value = Arc::new(v);
-                self.lock_mem().insert(key, Arc::clone(&value), text.len() as u64);
-                CacheLookup::Hit((*value).clone())
-            }
-            None => CacheLookup::Miss,
-        }
+        let value = Arc::new(value);
+        self.lock_mem().insert(key, Arc::clone(&value), text.len() as u64);
+        CacheLookup::Hit((*value).clone())
     }
 
-    /// Store `value` (with its key, for load-time verification) under
-    /// `key.digest`, populating both tiers. The entry is assembled by
-    /// splicing the already-serialized key next to the serialized value —
-    /// no deep clone of the result just to wrap it in a map. Writes to a
-    /// temp file unique to this process *and* store call, then renames, so
-    /// concurrent writers — even across processes sharing the cache
-    /// directory — never tear each other's entries.
+    /// Store `value` (with its key and the digest of its JSON, for
+    /// load-time verification) under `key.digest`, populating both tiers.
+    /// The entry is assembled by splicing the already-serialized key next
+    /// to the serialized value — no deep clone of the result just to wrap
+    /// it in a map. Writes to a temp file unique to this process *and*
+    /// store call, then renames, so concurrent writers — even across
+    /// processes sharing the cache directory — never tear each other's
+    /// entries.
     pub fn store(&self, key: &PreparedKey, value: &Value) -> std::io::Result<()> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let value_json = serde_json::to_string(value).expect("value serializes");
-        let text = format!("{{\"key\":{},\"value\":{}}}", key.key_json, value_json);
+        let text = format!(
+            "{{\"key\":{},\"value_digest\":\"{}\",\"value\":{}}}",
+            key.key_json,
+            hex_digest(&value_json),
+            value_json
+        );
         let sub = self.dir.join(key.digest.get(..2).unwrap_or("00"));
         std::fs::create_dir_all(&sub)?;
         let tmp = sub.join(format!(
@@ -456,13 +406,13 @@ impl DiskCache {
         let m = cache_metrics();
         m.stores.inc();
         m.store_bytes.add(bytes);
-        // The hot tier keeps its own parsed copy (this clone *is* the
+        // The memory tier keeps its own parsed copy (this clone *is* the
         // cached value, not serialization scaffolding).
         self.lock_mem().insert(key, Arc::new(value.clone()), bytes);
         Ok(())
     }
 
-    fn lock_mem(&self) -> std::sync::MutexGuard<'_, Lru> {
+    fn lock_mem(&self) -> std::sync::MutexGuard<'_, MemTier> {
         self.mem.lock().expect("mem-cache lock")
     }
 
@@ -542,6 +492,16 @@ impl DiskCache {
     }
 }
 
+/// The value JSON of an entry whose `{"key":<key>` prefix has been
+/// checked, provided the rest is laid out as [`DiskCache::store`] writes it
+/// and the value still matches its digest. An entry without a digest or
+/// with a damaged value is `None`.
+fn verified_value(rest: &str) -> Option<&str> {
+    let (digest, value) = rest.strip_prefix(",\"value_digest\":\"")?.split_once("\",\"value\":")?;
+    let value = value.strip_suffix('}')?;
+    (hex_digest(value) == digest).then_some(value)
+}
+
 /// Writer pid recorded in a `.<digest>.<pid>.<seq>.tmp` file name.
 fn tmp_writer_pid(name: &str) -> Option<u32> {
     name.strip_suffix(".tmp")?.rsplit('.').nth(1)?.parse().ok()
@@ -591,36 +551,51 @@ mod tests {
         assert_eq!(stats.mem_entries, 1);
         assert!(stats.mem_bytes > 0 && stats.mem_bytes <= stats.mem_cap_bytes);
 
-        // A clone shares the directory and the hot tier...
+        // A clone shares the directory and the memory tier.
         let clone = cache.clone();
         assert_eq!(clone.dir(), cache.dir());
         clone.store(&key(2), &val(2)).unwrap();
         assert_eq!(cache.stats().mem_entries, 2);
         std::fs::write(cache.path_for(&key(2).digest), "{ torn").unwrap();
         assert!(matches!(cache.load(&key(2)), CacheLookup::Hit(v) if v == val(2)));
-        // ...as does a second handle opened on the same directory...
-        let again = DiskCache::new(&dir).unwrap();
-        assert_eq!(again.stats().mem_entries, 2);
-        // ...while a different directory gets its own, empty one.
-        let other_dir = tmp_dir("roundtrip-other");
-        let other = DiskCache::new(&other_dir).unwrap();
-        assert_eq!(other.stats().mem_entries, 0);
-        assert!(matches!(other.load(&k), CacheLookup::Miss));
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&other_dir);
+    }
+
+    #[test]
+    fn a_handle_owns_its_memory_tier() {
+        let dir = tmp_dir("owner");
+        let cache = DiskCache::new(&dir).unwrap();
+        let k = key(1);
+        cache.store(&k, &val(1)).unwrap();
+        let clone = cache.clone();
+        assert_eq!(clone.stats().mem_entries, 1);
+        // A second open of the same directory shares the disk, not the tier.
+        let again = DiskCache::new(&dir).unwrap();
+        assert_eq!(again.stats().mem_entries, 0);
+        assert!(matches!(again.load(&k), CacheLookup::Hit(v) if v == val(1)));
+        assert_eq!((again.stats().mem_entries, cache.stats().mem_entries), (1, 1));
+        // Dropping every clone frees the tier and the values in it.
+        let tier = Arc::downgrade(&cache.mem);
+        drop(cache);
+        assert!(tier.upgrade().is_some(), "a live clone keeps the tier");
+        drop(clone);
+        assert!(tier.upgrade().is_none(), "the tier outlived its last handle");
+        assert_eq!(DiskCache::new(&dir).unwrap().stats().mem_entries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_hit_promotes_into_memory_tier() {
         let dir = tmp_dir("promote");
-        // Store with the hot tier disabled, then re-enable: first load must
-        // come from disk and promote, second from memory.
+        // Store through a disk-only handle, then load through one with a
+        // memory tier: the first load comes from disk and promotes, the
+        // second from memory.
         let cold = DiskCache::with_mem_cap(&dir, 0).unwrap();
         let k = key(7);
         cold.store(&k, &val(7)).unwrap();
         assert_eq!(cold.stats().mem_entries, 0, "cap 0 admits nothing");
 
-        let warm = DiskCache::with_mem_cap(&dir, DEFAULT_MEM_CAP).unwrap();
+        let warm = DiskCache::new(&dir).unwrap();
         assert!(matches!(warm.load(&k), CacheLookup::Hit(_)));
         assert_eq!(warm.stats().mem_entries, 1, "disk hit must promote");
         // Now corrupt the disk file: the verified memory copy still serves.
@@ -638,6 +613,54 @@ mod tests {
         let deep = "[".repeat(20_000) + &"]".repeat(20_000);
         std::fs::write(cache.path_for(&k.digest), deep).unwrap();
         assert!(matches!(cache.load(&k), CacheLookup::Miss));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every truncation and seeded single-byte substitutions of a stored
+    /// entry load as a miss, a key mismatch or the exact stored value:
+    /// never another value, never a panic.
+    #[test]
+    fn damaged_entries_never_load_another_value() {
+        let dir = tmp_dir("damage");
+        let cache = DiskCache::with_mem_cap(&dir, 0).unwrap();
+        let k = key(4);
+        let mut m = BTreeMap::new();
+        m.insert("pp_min_us".to_string(), Value::Float(3.8540020000000004));
+        m.insert("bw".to_string(), Value::Array(vec![Value::Float(0.5), Value::Float(1.25)]));
+        m.insert("label".to_string(), Value::Str("XT4-SN".into()));
+        m.insert("n".to_string(), Value::Int(12));
+        let stored = Value::Object(m);
+        cache.store(&k, &stored).unwrap();
+        let path = cache.path_for(&k.digest);
+        let entry = std::fs::read(&path).unwrap();
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            cache.load(&k)
+        };
+        for n in 0..entry.len() {
+            if let CacheLookup::Hit(v) = load(&entry[..n]) {
+                assert_eq!(v, stored, "truncation to {n} bytes served another value");
+            }
+        }
+        let alphabet = b"0123456789.-+eE,:\"{}[] aflnrstu";
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..600 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let i = (rng % entry.len() as u64) as usize;
+            let b = alphabet[(rng >> 40) as usize % alphabet.len()];
+            let mut bytes = entry.clone();
+            bytes[i] = b;
+            if let CacheLookup::Hit(v) = load(&bytes) {
+                assert_eq!(v, stored, "byte {i} set to {:?} served another value", b as char);
+            }
+        }
+        assert!(matches!(load(&entry), CacheLookup::Hit(v) if v == stored));
+        // The previous layout, without a value digest, is a miss.
+        let value_json = serde_json::to_string(&stored).unwrap();
+        let old = format!("{{\"key\":{},\"value\":{value_json}}}", k.key_json);
+        assert!(matches!(load(old.as_bytes()), CacheLookup::Miss));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -659,60 +682,31 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_and_respects_byte_budget() {
-        let dir = tmp_dir("lru");
+    fn a_full_tier_admits_nothing_more() {
+        let dir = tmp_dir("full");
+        let cache = DiskCache::new(&dir).unwrap();
         let keys = [key(0), key(1), key(2)];
-        let entry_bytes = keys
-            .iter()
-            .zip(0..)
-            .map(|(k, s)| {
-                let value_json = serde_json::to_string(&val(s)).unwrap();
-                format!("{{\"key\":{},\"value\":{}}}", k.key_json, value_json).len() as u64
-            })
-            .max()
-            .unwrap();
-        // Budget for two entries plus slack smaller than one entry, so
-        // storing a third entry evicts exactly the LRU one.
-        let cap = entry_bytes * 2 + 16;
+        for (k, s) in keys.iter().zip(0..) {
+            cache.store(k, &val(s)).unwrap();
+        }
+        // Room for the first two entries plus slack smaller than one entry.
+        let cap = cache.stats().mem_bytes * 2 / 3 + 16;
         let cache = DiskCache::with_mem_cap(&dir, cap).unwrap();
         let [ka, kb, kc] = &keys;
-        cache.store(ka, &val(0)).unwrap();
-        cache.store(kb, &val(1)).unwrap();
-        // Touch A so B becomes the LRU victim.
-        assert!(matches!(cache.load(ka), CacheLookup::Hit(_)));
-        cache.store(kc, &val(2)).unwrap();
-        let stats = cache.stats();
-        assert!(stats.mem_bytes <= cap, "residency {} exceeds cap {cap}", stats.mem_bytes);
-
-        // B was evicted from memory (loads go to disk and re-promote,
-        // evicting the new LRU in turn); A and C are resident. Check
-        // residency *without* load (which would reshuffle): corrupt B on
-        // disk — if it were memory-resident it would still hit.
-        std::fs::write(cache.path_for(&kb.digest), "{ torn").unwrap();
-        assert!(
-            matches!(cache.load(kb), CacheLookup::Miss),
-            "LRU victim must have left the memory tier"
-        );
-        std::fs::write(cache.path_for(&ka.digest), "{ torn").unwrap();
-        assert!(matches!(cache.load(ka), CacheLookup::Hit(_)), "touched entry must stay resident");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shrinking_the_cap_evicts_down_and_zero_disables() {
-        let dir = tmp_dir("recap");
-        let cache = DiskCache::new(&dir).unwrap();
-        for s in 0..32 {
-            cache.store(&key(s), &val(s)).unwrap();
+        for k in [ka, kb, kc, ka] {
+            assert!(matches!(cache.load(k), CacheLookup::Hit(_)));
         }
-        assert_eq!(cache.stats().mem_entries, 32);
-        // Re-open with cap 0: the shared hot tier is re-budgeted and emptied.
-        let disabled = DiskCache::with_mem_cap(&dir, 0).unwrap();
-        let stats = disabled.stats();
-        assert_eq!((stats.mem_entries, stats.mem_bytes, stats.mem_cap_bytes), (0, 0, 0));
-        // Disk tier unaffected; loads still verify from disk, no admission.
-        assert!(matches!(disabled.load(&key(5)), CacheLookup::Hit(_)));
-        assert_eq!(disabled.stats().mem_entries, 0);
+        let stats = cache.stats();
+        assert_eq!(stats.mem_entries, 2);
+        assert!(stats.mem_bytes <= cap, "residency {} exceeds cap {cap}", stats.mem_bytes);
+        // A and B stay resident (they hit with their files torn); C was
+        // never admitted, so it is read from disk every time.
+        for k in [ka, kb, kc] {
+            std::fs::write(cache.path_for(&k.digest), "{ torn").unwrap();
+        }
+        assert!(matches!(cache.load(ka), CacheLookup::Hit(v) if v == val(0)));
+        assert!(matches!(cache.load(kb), CacheLookup::Hit(v) if v == val(1)));
+        assert!(matches!(cache.load(kc), CacheLookup::Miss));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -752,7 +746,7 @@ mod tests {
     #[test]
     fn concurrent_mixed_load_store_is_never_torn() {
         let dir = tmp_dir("mixed");
-        // Small cap so eviction churns continuously under load.
+        // Small cap: the tier fills early and later values stay on disk.
         let cache = DiskCache::with_mem_cap(&dir, 8 * 1024).unwrap();
         let keys: Vec<PreparedKey> = (0..24).map(key).collect();
         std::thread::scope(|s| {

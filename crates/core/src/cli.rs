@@ -49,39 +49,6 @@ pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
     }
 }
 
-/// Parse a byte-size argument (`--cache-mem-cap`): a non-negative integer
-/// with an optional, case-insensitive binary suffix — `k`/`kb`/`kib`,
-/// `m`/`mb`/`mib`, `g`/`gb`/`gib` (all powers of 1024). `0` is legal and
-/// means "disabled". The error names the flag and quotes the offending
-/// token so front ends can print it verbatim and exit 2.
-pub fn parse_byte_size(flag: &str, value: &str) -> Result<u64, String> {
-    let err = || format!("{flag} needs a byte size like 64m, 512k, 1g or 0, got {value:?}");
-    let t = value.trim().to_ascii_lowercase();
-    let (digits, unit): (&str, u64) = if let Some(d) = t
-        .strip_suffix("kib")
-        .or_else(|| t.strip_suffix("kb"))
-        .or_else(|| t.strip_suffix('k'))
-    {
-        (d, 1024)
-    } else if let Some(d) = t
-        .strip_suffix("mib")
-        .or_else(|| t.strip_suffix("mb"))
-        .or_else(|| t.strip_suffix('m'))
-    {
-        (d, 1024 * 1024)
-    } else if let Some(d) = t
-        .strip_suffix("gib")
-        .or_else(|| t.strip_suffix("gb"))
-        .or_else(|| t.strip_suffix('g'))
-    {
-        (d, 1024 * 1024 * 1024)
-    } else {
-        (t.as_str(), 1)
-    };
-    let n: u64 = digits.trim_end().parse().map_err(|_| err())?;
-    n.checked_mul(unit).ok_or_else(err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,22 +81,6 @@ mod tests {
         for bad in ["0", "-3", "abc", "1.5", ""] {
             let err = parse_positive("--jobs", bad).unwrap_err();
             assert!(err.contains("--jobs"), "{err}");
-            assert!(err.contains(&format!("{bad:?}")), "{err} must quote {bad:?}");
-        }
-    }
-
-    #[test]
-    fn byte_sizes_parse_with_binary_suffixes() {
-        assert_eq!(parse_byte_size("--cache-mem-cap", "0"), Ok(0));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "12345"), Ok(12345));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "512k"), Ok(512 * 1024));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "64M"), Ok(64 * 1024 * 1024));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "64mb"), Ok(64 * 1024 * 1024));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "64MiB"), Ok(64 * 1024 * 1024));
-        assert_eq!(parse_byte_size("--cache-mem-cap", "2g"), Ok(2 * 1024 * 1024 * 1024));
-        for bad in ["", "m", "-1", "4x", "1.5g", "99999999999999999999", "18446744073709551615g"] {
-            let err = parse_byte_size("--cache-mem-cap", bad).unwrap_err();
-            assert!(err.contains("--cache-mem-cap"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err} must quote {bad:?}");
         }
     }

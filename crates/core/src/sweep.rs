@@ -25,17 +25,17 @@
 //! empty or null, and an instrumented operation costs one flag read.
 //!
 //! Caching: results live in the two-tier [`DiskCache`] (see
-//! [`crate::cache`]) — an in-memory LRU hot tier over one
-//! `{"key": ..., "value": ...}` JSON file per job in two-hex-prefix
+//! [`crate::cache`]) — the handle's in-memory tier over one JSON file per
+//! job (its key, a digest of its value, and the value) in two-hex-prefix
 //! subdirectories. A front end opens the cache once per process and hands
 //! each [`SweepConfig`] that handle or a clone of it (a clone shares the
-//! hot tier). The digest hashes the canonical JSON of the key — engine
-//! version, job kind, machine spec content, execution mode, scale, and all
-//! sweep parameters — via two independent FNV-1a passes
-//! ([`xtsim_machine::fingerprint`]); the engine serializes each key **once**
-//! into a [`PreparedKey`] and threads it through lookup and store. Bump
-//! [`ENGINE_VERSION`] whenever simulator semantics change; every old entry
-//! then misses.
+//! memory tier; a second open starts with an empty one). The digest hashes
+//! the canonical JSON of the key — engine version, job kind, machine spec
+//! content, execution mode, scale, and all sweep parameters — via two
+//! independent FNV-1a passes ([`xtsim_machine::fingerprint`]); the engine
+//! serializes each key **once** into a [`PreparedKey`] and threads it
+//! through lookup and store. Bump [`ENGINE_VERSION`] whenever simulator
+//! semantics change; every old entry then misses.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

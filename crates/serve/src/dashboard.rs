@@ -160,17 +160,12 @@ pub fn render(
             c.entries,
             c.bytes as f64 / (1024.0 * 1024.0)
         ));
-        if c.mem_cap_bytes > 0 {
-            page.push_str(&format!(
-                "<div class=\"tile\"><b>{}</b>memory-tier entries \
-                 ({:.1} / {:.0} MiB)</div>",
-                c.mem_entries,
-                c.mem_bytes as f64 / (1024.0 * 1024.0),
-                c.mem_cap_bytes as f64 / (1024.0 * 1024.0)
-            ));
-        } else {
-            page.push_str("<div class=\"tile\"><b>off</b>memory tier (disk only)</div>");
-        }
+        page.push_str(&format!(
+            "<div class=\"tile\"><b>{}</b>memory-tier entries ({:.1} / {:.0} MiB)</div>",
+            c.mem_entries,
+            c.mem_bytes as f64 / (1024.0 * 1024.0),
+            c.mem_cap_bytes as f64 / (1024.0 * 1024.0)
+        ));
     }
     page.push_str(&format!(
         "<div class=\"tile\"><b>{}</b>registry records</div></div>",
@@ -239,11 +234,6 @@ pub fn render(
                 "<div class=\"tile\"><b>&ndash;</b>cache hit ratio (no lookups yet)</div>",
             );
         }
-        page.push_str(&format!(
-            "<div class=\"tile\"><b>{}</b>memory-tier evictions ({} KiB resident)</div>",
-            snap.counter_sum("xtsim_cache_mem_evictions_total", &[]),
-            snap.gauge_value("xtsim_cache_mem_bytes").unwrap_or(0) / 1024
-        ));
         page.push_str(&format!(
             "<div class=\"tile\"><b>{}</b>queue rejections (429)</div>",
             snap.counter_sum("xtsim_queue_rejected_total", &[])

@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! xtsim-serve [--port N] [--queue-cap N] [--max-concurrent N] [--jobs N]
-//!             [--cache-dir DIR | --no-cache] [--cache-mem-cap BYTES]
-//!             [--registry-dir DIR] [--bench-root DIR] [--dashboard DIR]
-//!             [--events FILE]
+//!             [--cache-dir DIR | --no-cache] [--registry-dir DIR]
+//!             [--bench-root DIR] [--dashboard DIR] [--events FILE]
 //! ```
 //!
 //! Server mode (default) binds `127.0.0.1:<port>` (`--port 0` picks an
@@ -24,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xtsim::sweep::{DiskCache, DEFAULT_MEM_CAP};
+use xtsim::sweep::DiskCache;
 use xtsim_serve::queue::Scheduler;
 use xtsim_serve::registry::Registry;
 use xtsim_serve::dashboard;
@@ -37,7 +36,6 @@ struct Args {
     jobs: usize,
     cache: bool,
     cache_dir: PathBuf,
-    cache_mem_cap: u64,
     registry_dir: PathBuf,
     bench_root: PathBuf,
     dashboard: Option<PathBuf>,
@@ -52,7 +50,6 @@ fn parse_args() -> Args {
         jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         cache: true,
         cache_dir: DiskCache::default_dir(),
-        cache_mem_cap: DEFAULT_MEM_CAP,
         registry_dir: Registry::default_dir(),
         bench_root: PathBuf::from("."),
         dashboard: None,
@@ -83,14 +80,6 @@ fn parse_args() -> Args {
             "--jobs" => args.jobs = parse_positive(&need(&mut it, "--jobs"), "--jobs"),
             "--no-cache" => args.cache = false,
             "--cache-dir" => args.cache_dir = PathBuf::from(need(&mut it, "--cache-dir")),
-            "--cache-mem-cap" => {
-                let v = need(&mut it, "--cache-mem-cap");
-                args.cache_mem_cap = xtsim::cli::parse_byte_size("--cache-mem-cap", &v)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    });
-            }
             "--registry-dir" => args.registry_dir = PathBuf::from(need(&mut it, "--registry-dir")),
             "--bench-root" => args.bench_root = PathBuf::from(need(&mut it, "--bench-root")),
             "--dashboard" => args.dashboard = Some(PathBuf::from(need(&mut it, "--dashboard"))),
@@ -98,9 +87,8 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: xtsim-serve [--port N] [--queue-cap N] [--max-concurrent N] [--jobs N]\n\
-                     \x20                  [--cache-dir DIR | --no-cache] [--cache-mem-cap BYTES]\n\
-                     \x20                  [--registry-dir DIR] [--bench-root DIR] [--dashboard DIR]\n\
-                     \x20                  [--events FILE]"
+                     \x20                  [--cache-dir DIR | --no-cache] [--registry-dir DIR]\n\
+                     \x20                  [--bench-root DIR] [--dashboard DIR] [--events FILE]"
                 );
                 std::process::exit(0);
             }
@@ -147,7 +135,7 @@ fn main() {
         }
     };
 
-    let opened = args.cache.then(|| DiskCache::with_mem_cap(&args.cache_dir, args.cache_mem_cap));
+    let opened = args.cache.then(|| DiskCache::new(&args.cache_dir));
     let cache = match opened {
         None => None,
         Some(Ok(cache)) => Some(cache),
@@ -205,11 +193,7 @@ fn main() {
         args.queue_cap,
         args.max_concurrent,
         args.jobs,
-        match (&state.cache, args.cache_mem_cap) {
-            (None, _) => "off".to_string(),
-            (Some(_), 0) => "on (disk only)".to_string(),
-            (Some(_), cap) => format!("on ({} KiB memory tier)", cap / 1024),
-        }
+        if state.cache.is_some() { "on" } else { "off" }
     );
     serve(listener, state);
 }

@@ -6,6 +6,10 @@
 //! that into a 429 — once `queue_capacity` runs are waiting, and at most
 //! `workers` figure runs execute concurrently.
 //!
+//! The run table is bounded too: it keeps queued and running runs plus the
+//! `KEEP_FINISHED` runs that finished last, so a long-lived service does
+//! not grow with every request it has answered.
+//!
 //! The executor is injected as a closure so tests can drive admission
 //! control with a blocking stub instead of real multi-second figure runs.
 
@@ -42,6 +46,11 @@ fn queue_metrics() -> &'static QueueMetrics {
         ),
     })
 }
+
+/// Finished runs the run table keeps. When one more finishes, the one that
+/// finished first leaves the table: its id then answers 404, though its
+/// registry line stays.
+const KEEP_FINISHED: usize = 1024;
 
 /// One scenario request: which figure, at what scale, on how many workers.
 #[derive(Debug, Clone)]
@@ -157,6 +166,8 @@ struct State {
     /// worker claims the run to produce `wait_secs`.
     submitted: BTreeMap<u64, Instant>,
     runs: BTreeMap<u64, RunRecord>,
+    /// Ids of finished runs still in `runs`, in finishing order.
+    finished: VecDeque<u64>,
     next_id: u64,
     running: u64,
     done: u64,
@@ -186,6 +197,7 @@ impl Scheduler {
                 queue: VecDeque::new(),
                 submitted: BTreeMap::new(),
                 runs: BTreeMap::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
                 running: 0,
                 done: 0,
@@ -239,7 +251,7 @@ impl Scheduler {
         self.shared.state.lock().unwrap().runs.get(&id).cloned()
     }
 
-    /// Snapshot of every run, in id (submission) order.
+    /// Snapshot of every run in the table, in id (submission) order.
     pub fn runs(&self) -> Vec<RunRecord> {
         self.shared.state.lock().unwrap().runs.values().cloned().collect()
     }
@@ -316,6 +328,11 @@ fn worker_loop(shared: &Shared, exec: &Executor) {
                 rec.error = Some(e);
                 st.failed += 1;
             }
+        }
+        st.finished.push_back(id);
+        if st.finished.len() > KEEP_FINISHED {
+            let oldest = st.finished.pop_front().expect("finished runs");
+            st.runs.remove(&oldest);
         }
     }
 }
@@ -408,6 +425,25 @@ mod tests {
         let id = sched.submit(req("q4")).unwrap();
         release_tx.send(()).unwrap();
         wait_until(|| sched.run(id).unwrap().status == RunStatus::Done);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn the_run_table_keeps_the_newest_finished_runs() {
+        let extra = 3;
+        let total = (KEEP_FINISHED + extra) as u64;
+        let sched = Scheduler::new(KEEP_FINISHED + extra, 1, instant_exec());
+        let ids: Vec<u64> = (0..total).map(|_| sched.submit(req("fig01")).unwrap()).collect();
+        wait_until(|| sched.stats().done == total);
+        for &id in &ids[..extra] {
+            assert!(sched.run(id).is_none(), "run {id} outlived the bound");
+        }
+        for &id in &ids[extra..] {
+            assert_eq!(sched.run(id).map(|r| r.status), Some(RunStatus::Done), "run {id}");
+        }
+        assert_eq!(sched.runs().len(), KEEP_FINISHED);
+        let stats = sched.stats();
+        assert_eq!((stats.done, stats.failed, stats.queued, stats.running), (total, 0, 0, 0));
         sched.shutdown();
     }
 

@@ -1,16 +1,16 @@
-//! Golden-figure regression gate: twenty-four quick-scale outputs (the
+//! Golden-figure regression gate: twenty-nine quick-scale outputs (the
 //! system table, the Lustre IOR demonstration, network microbenchmarks,
 //! single-node and global HPCC sweeps, the bidirectional bandwidth sweep,
-//! application figures and the five ablations) are pinned as JSON under
-//! `tests/goldens/` and every regeneration must match them within a tight
-//! numeric tolerance.
+//! the application figures, POP's scaling and phase figures included, and
+//! the five ablations) are pinned as JSON under `tests/goldens/` and every
+//! regeneration must match them within a tight numeric tolerance.
 //!
 //! When a *deliberate* model change shifts the numbers, regenerate with:
 //!
 //! ```text
 //! cargo run --release -p xtsim-bench --bin figures -- \
 //!     --quick --no-cache --ablations \
-//!     --only table1,fig01,fig02,fig03,fig04,fig05,fig06,fig07,fig08,fig09,fig10,fig11,fig12,fig13,fig16,fig20,fig21,fig22,fig23,abl-eager,abl-memory,abl-quadcore,abl-vnstack,abl-openmp \
+//!     --only table1,fig01,fig02,fig03,fig04,fig05,fig06,fig07,fig08,fig09,fig10,fig11,fig12,fig13,fig14,fig15,fig16,fig17,fig18,fig19,fig20,fig21,fig22,fig23,abl-eager,abl-memory,abl-quadcore,abl-vnstack,abl-openmp \
 //!     --out tests/goldens
 //! rm tests/goldens/*.csv
 //! ```
@@ -24,10 +24,11 @@ use xt4_repro::xtsim::figures::all_figures;
 use xt4_repro::xtsim::report::Scale;
 use xt4_repro::xtsim::sweep::{run_figure, SweepConfig};
 
-const GOLDEN_IDS: [&str; 24] = [
+const GOLDEN_IDS: [&str; 29] = [
     "table1", "fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
-    "fig10", "fig11", "fig12", "fig13", "fig16", "fig20", "fig21", "fig22", "fig23", "abl-eager",
-    "abl-memory", "abl-quadcore", "abl-vnstack", "abl-openmp",
+    "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
+    "fig20", "fig21", "fig22", "fig23", "abl-eager", "abl-memory", "abl-quadcore", "abl-vnstack",
+    "abl-openmp",
 ];
 
 /// Relative tolerance for numeric comparison. The engine is deterministic,
@@ -88,13 +89,15 @@ fn quick_figures_match_goldens() {
     let golden_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
     let mut catalog = all_figures();
     catalog.extend(all_ablations());
+    // Two sweep workers: the engine assembles each figure in job order, so
+    // the output is byte-identical to a serial run.
+    let cfg = SweepConfig::threads(2);
     for id in GOLDEN_IDS {
         let fig = catalog.iter().find(|f| f.id == id).expect(id);
         let golden_text = std::fs::read_to_string(golden_dir.join(format!("{id}.json")))
             .unwrap_or_else(|e| panic!("missing golden for {id}: {e}"));
         let want: Value = serde_json::from_str(&golden_text)
             .unwrap_or_else(|e| panic!("unparseable golden for {id}: {e:?}"));
-        let cfg = SweepConfig::serial();
         let got = serde_json::to_value(&run_figure(fig.spec(Scale::Quick), &cfg).0).unwrap();
         if let Err(diff) = compare(id, &got, &want) {
             panic!(

@@ -13,6 +13,7 @@
 //! order in the source struct (or in parsed JSON text) never changes the
 //! output bytes. The sweep-engine cache keys rely on this.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -142,6 +143,13 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// The JSON form of `self`.
     fn to_value(&self) -> Value;
+
+    /// The JSON form of `self`, borrowed when `self` already is one. The
+    /// writers read through this, so serializing a [`Value`] never
+    /// deep-copies it first.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Rebuild a value from the JSON model.
@@ -242,6 +250,10 @@ impl Serialize for &str {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 impl Deserialize for Value {
@@ -365,6 +377,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 // ------------------------------------------------------------------- macros
@@ -443,6 +459,14 @@ mod tests {
         assert_eq!(Option::<f64>::from_value(&v.to_value()).unwrap(), v);
         let n: Option<f64> = None;
         assert_eq!(Option::<f64>::from_value(&n.to_value()).unwrap(), n);
+    }
+
+    #[test]
+    fn a_value_serializes_borrowed() {
+        let v = Value::Array(vec![Value::Int(1)]);
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!((&&v).as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert!(matches!(1.5f64.as_value(), Cow::Owned(Value::Float(f)) if f == 1.5));
     }
 
     #[test]

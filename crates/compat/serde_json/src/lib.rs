@@ -10,6 +10,13 @@
 //! * **Round-trip floats** — floats print via Rust's shortest-round-trip
 //!   `{}` formatting, with a trailing `.0` forced onto integral floats so
 //!   the int/float distinction survives reparsing.
+//!
+//! The writer builds no temporaries: a [`Value`] is written where it lies
+//! ([`Serialize::as_value`] borrows it), numbers are formatted straight into
+//! the output buffer, and string runs that need no escaping are copied in
+//! one piece.
+
+use std::fmt::Write as _;
 
 pub use serde::{Error, Value};
 use serde::{Deserialize, Serialize};
@@ -17,14 +24,14 @@ use serde::{Deserialize, Serialize};
 /// Serialize to compact JSON text.
 pub fn to_string<T: Serialize>(t: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &t.to_value(), None, 0);
+    write_value(&mut out, &t.as_value(), None, 0);
     Ok(out)
 }
 
 /// Serialize to human-readable JSON text (two-space indent).
 pub fn to_string_pretty<T: Serialize>(t: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &t.to_value(), Some(2), 0);
+    write_value(&mut out, &t.as_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -50,7 +57,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
         Value::Float(f) => write_float(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Array(a) => {
@@ -107,28 +114,41 @@ fn write_float(out: &mut String, f: f64) {
         // JSON has no NaN/inf; mirror serde_json's `null`.
         out.push_str("null");
     } else {
-        let s = format!("{f}");
-        out.push_str(&s);
+        let start = out.len();
+        write!(out, "{f}").expect("writing to a String cannot fail");
         // Keep the float/int distinction in the text form.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+        if !out[start..].bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
             out.push_str(".0");
         }
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Start of the run not yet copied. Every byte that needs escaping is
+    // ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -33,15 +33,19 @@
 //! collision or a poisoned memory entry is a [`CacheLookup::KeyMismatch`];
 //! a truncated or corrupted file, or one without a value digest, is a
 //! [`CacheLookup::Miss`]. Either way the job is recomputed: a damaged entry
-//! is never a wrong value. The requesting key is serialized **once per
-//! job** into a [`PreparedKey`] and threaded through load/store, instead of
-//! being re-serialized at every verification site.
+//! is never a wrong value. The requesting key is serialized into a
+//! [`PreparedKey`] and threaded through load/store, instead of being
+//! re-serialized at every verification site: once per job per run by
+//! [`run_figure`](crate::sweep::run_figure), and once per figure per
+//! process by a caller that keeps its keys across runs
+//! ([`run_figure_prepared`](crate::sweep::run_figure_prepared)).
 //!
 //! Sharing: the memory tier belongs to the handle. A front end opens its
 //! cache once and clones the handle, and a clone shares the directory and
 //! the memory tier. A second open of the same directory shares only the
 //! disk and starts with an empty memory tier, and dropping the last handle
-//! frees its tier.
+//! frees its tier. The residency gauges `xtsim_cache_mem_bytes` and
+//! `xtsim_cache_mem_entries` read the sum over every live tier.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -193,11 +197,12 @@ fn cache_metrics() -> &'static CacheMetrics {
             ),
             mem_bytes: xtsim_obs::gauge(
                 "xtsim_cache_mem_bytes",
-                "Bytes resident in the memory tier (serialized-entry accounting).",
+                "Bytes resident in the memory tiers of all live cache handles \
+                 (serialized-entry accounting).",
             ),
             mem_entries: xtsim_obs::gauge(
                 "xtsim_cache_mem_entries",
-                "Entries resident in the memory tier.",
+                "Entries resident in the memory tiers of all live cache handles.",
             ),
         }
     })
@@ -213,8 +218,9 @@ struct MemEntry {
 
 /// The memory tier of one cache handle and its clones: parsed values under
 /// a byte budget, behind one `Mutex`. Nothing is ever evicted; a value that
-/// would take residency past the budget is not admitted.
-#[derive(Default)]
+/// would take residency past the budget is not admitted. The residency
+/// gauges sum over every live tier in the process: each tier adds what it
+/// admits, subtracts what it removes, and takes its share out when dropped.
 struct MemTier {
     /// Digest → entry. BTreeMap: point lookups only, deterministic walks.
     entries: BTreeMap<String, MemEntry>,
@@ -231,15 +237,12 @@ enum MemLookup {
 }
 
 impl MemTier {
-    fn publish(&self) {
-        let m = cache_metrics();
-        m.mem_bytes.set(self.bytes);
-        m.mem_entries.set(self.entries.len() as u64);
-    }
-
     fn remove(&mut self, digest: &str) {
         if let Some(e) = self.entries.remove(digest) {
             self.bytes -= e.bytes;
+            let m = cache_metrics();
+            m.mem_bytes.sub(e.bytes);
+            m.mem_entries.sub(1);
         }
     }
 
@@ -252,7 +255,6 @@ impl MemTier {
             // by content-addressing it shouldn't exist at all) — drop it so
             // the recompute's store can land cleanly.
             self.remove(&key.digest);
-            self.publish();
             return MemLookup::KeyMismatch;
         }
         MemLookup::Hit(Arc::clone(&e.value))
@@ -263,14 +265,28 @@ impl MemTier {
             return;
         }
         self.remove(&key.digest);
+        let m = cache_metrics();
         if self.bytes + bytes > self.cap {
-            cache_metrics().mem_oversize.inc();
+            m.mem_oversize.inc();
         } else {
             self.bytes += bytes;
             let entry = MemEntry { key_json: key.key_json.clone(), value, bytes };
             self.entries.insert(key.digest.clone(), entry);
+            m.mem_bytes.add(bytes);
+            m.mem_entries.add(1);
         }
-        self.publish();
+    }
+}
+
+impl Drop for MemTier {
+    fn drop(&mut self) {
+        // An empty tier has nothing to take out: leave the metrics
+        // unregistered, as a cache that was only opened never touched them.
+        if !self.entries.is_empty() {
+            let m = cache_metrics();
+            m.mem_bytes.sub(self.bytes);
+            m.mem_entries.sub(self.entries.len() as u64);
+        }
     }
 }
 
@@ -299,7 +315,7 @@ impl DiskCache {
     pub fn with_mem_cap(dir: impl Into<PathBuf>, cap_bytes: u64) -> std::io::Result<DiskCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mem = MemTier { cap: cap_bytes, ..MemTier::default() };
+        let mem = MemTier { entries: BTreeMap::new(), bytes: 0, cap: cap_bytes };
         let cache = DiskCache { dir, mem: Arc::new(Mutex::new(mem)) };
         cache.sweep_stale_tmp(STALE_TMP_MAX_AGE);
         Ok(cache)

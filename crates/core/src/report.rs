@@ -150,7 +150,7 @@ fn trim_num(v: f64) -> String {
 }
 
 /// How heavy a figure regeneration should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Reduced sweeps for CI and tests (seconds per figure).
     Quick,

@@ -32,15 +32,17 @@
 //! memory tier; a second open starts with an empty one). The digest hashes
 //! the canonical JSON of the key — engine version, job kind, machine spec
 //! content, execution mode, scale, and all sweep parameters — via two
-//! independent FNV-1a passes ([`xtsim_machine::fingerprint`]); the engine
-//! serializes each key **once** into a [`PreparedKey`] and threads it
-//! through lookup and store. Bump [`ENGINE_VERSION`] whenever simulator
-//! semantics change; every old entry then misses.
+//! independent FNV-1a passes ([`xtsim_machine::fingerprint`]). Each key is
+//! serialized into a [`PreparedKey`] that lookup and store share:
+//! [`run_figure`] prepares a spec's keys once per run, and a caller that
+//! runs the same figure again (the `xtsim-serve` executor) keeps them and
+//! passes them to [`run_figure_prepared`]. Bump [`ENGINE_VERSION`] whenever
+//! simulator semantics change; every old entry then misses.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{impl_serde_struct, Value};
@@ -108,10 +110,11 @@ impl JobKey {
     /// Serialize this key once into its canonical JSON encoding plus the
     /// 128-bit hex digest derived from it. Canonical means: object keys
     /// sorted, integral floats rendered `x.0` — so the digest is independent
-    /// of field declaration order and stable across processes. The engine
-    /// prepares every job key exactly once per run and threads the result
-    /// through both cache tiers.
+    /// of field declaration order and stable across processes. Both cache
+    /// tiers address and verify by the result, so nothing re-serializes the
+    /// key. Every call counts in `xtsim_sweep_keys_prepared_total`.
     pub fn prepare(&self) -> PreparedKey {
+        keys_prepared().inc();
         let json = serde_json::to_string(self).expect("JobKey serializes");
         PreparedKey::from_canonical_json(json)
     }
@@ -121,6 +124,19 @@ impl JobKey {
     pub fn digest(&self) -> String {
         self.prepare().digest
     }
+}
+
+/// `xtsim_sweep_keys_prepared_total`, registered once: a count of
+/// [`JobKey::prepare`] calls that shows whether a warm caller reuses its
+/// keys.
+fn keys_prepared() -> &'static Arc<xtsim_obs::Counter> {
+    static C: OnceLock<Arc<xtsim_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| {
+        xtsim_obs::counter(
+            "xtsim_sweep_keys_prepared_total",
+            "Job keys serialized and digested (JobKey::prepare calls).",
+        )
+    })
 }
 
 /// One schedulable sweep point: an identity, a predicted cost, and the
@@ -193,6 +209,14 @@ impl FigureSpec {
     pub fn push(&mut self, job: Job) -> usize {
         self.jobs.push(job);
         self.jobs.len() - 1
+    }
+
+    /// Every job's [`PreparedKey`], in job order: what
+    /// [`run_figure_prepared`] takes. A figure's keys depend only on its id
+    /// and scale, so a caller may keep them for later runs of the same
+    /// figure.
+    pub fn prepare_keys(&self) -> Vec<PreparedKey> {
+        self.jobs.iter().map(|j| j.key.prepare()).collect()
     }
 }
 
@@ -324,13 +348,26 @@ struct JobOutcome {
 /// embedded key), run the misses on the worker pool — largest [`Job::cost`]
 /// first, under span capture when `cfg.trace_dir` is set — then persist
 /// fresh results, export traces, and assemble, all in job order. Returns
-/// the figure and the run's [`FigureMetrics`].
+/// the figure and the run's [`FigureMetrics`]. Prepares the spec's keys
+/// once ([`FigureSpec::prepare_keys`]) and runs [`run_figure_prepared`].
 pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, FigureMetrics) {
+    let keys = spec.prepare_keys();
+    run_figure_prepared(spec, &keys, cfg)
+}
+
+/// [`run_figure`] with the spec's keys already prepared: `keys[i]` must be
+/// `spec.jobs[i].key.prepare()`, as [`FigureSpec::prepare_keys`] returns
+/// them. Both cache tiers address by each prepared digest and verify
+/// against its canonical JSON; the timing in the record covers the run,
+/// not the preparation.
+pub fn run_figure_prepared(
+    spec: FigureSpec,
+    keys: &[PreparedKey],
+    cfg: &SweepConfig,
+) -> (FigureResult, FigureMetrics) {
+    assert_eq!(keys.len(), spec.jobs.len(), "one prepared key per job of {}", spec.id);
     let t0 = Instant::now();
     let n = spec.jobs.len();
-    // Serialize every key exactly once; both cache tiers address by the
-    // prepared digest and verify against the prepared canonical JSON.
-    let keys: Vec<PreparedKey> = spec.jobs.iter().map(|j| j.key.prepare()).collect();
     let mut m = FigureMetrics {
         figure: spec.id.to_string(),
         total_jobs: n,
@@ -497,11 +534,11 @@ pub fn run_figure(spec: FigureSpec, cfg: &SweepConfig) -> (FigureResult, FigureM
 
     let values: Vec<Value> = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
     let fig = (spec.assemble)(&values);
-    // Nothing reads the keys after assembly: move their strings into the
-    // record instead of copying them per job.
+    // Nothing reads the jobs after assembly: move their kinds into the
+    // record instead of copying them.
     for ((j, job), key) in m.jobs.iter_mut().zip(spec.jobs).zip(keys) {
         j.kind = job.key.kind;
-        j.digest = key.digest;
+        j.digest = key.digest.clone();
     }
     m.wall_secs = t0.elapsed().as_secs_f64();
     (fig, m)
@@ -595,6 +632,30 @@ mod tests {
         let (fig, _) = run_figure(logged_spec([0; 5], &log), &SweepConfig::serial());
         assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4]);
         assert_eq!(json(&fig), json(&plain));
+    }
+
+    #[test]
+    fn kept_keys_serve_a_fresh_spec() {
+        let dir = std::env::temp_dir().join(format!("xtsim-kept-keys-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SweepConfig::serial().with_cache(DiskCache::new(&dir).unwrap());
+        let keys = tiny_spec(3.0).prepare_keys();
+        let (cold_fig, cold) = run_figure(tiny_spec(3.0), &cfg);
+        let (warm_fig, warm) = run_figure_prepared(tiny_spec(3.0), &keys, &cfg);
+        assert_eq!((warm.computed, warm.cached), (0, 5));
+        assert_eq!(serde_json::to_string(&warm_fig).unwrap(), serde_json::to_string(&cold_fig).unwrap());
+        for ((w, c), k) in warm.jobs.iter().zip(&cold.jobs).zip(&keys) {
+            assert_eq!((&w.digest, &w.kind), (&c.digest, &c.kind));
+            assert_eq!(w.digest, k.digest);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "one prepared key per job of figT")]
+    fn keys_of_another_spec_are_refused() {
+        let keys = tiny_spec(1.0).prepare_keys();
+        run_figure_prepared(tiny_spec(1.0), &keys[1..], &SweepConfig::serial());
     }
 
     #[test]

@@ -28,13 +28,15 @@ pub fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
     h
 }
 
-/// 128-bit hex digest of `text`: two independent FNV-1a passes concatenated.
+/// 128-bit hex digest of `text`: two independent FNV-1a passes concatenated,
+/// run side by side in one walk over the bytes.
 pub fn hex_digest(text: &str) -> String {
-    format!(
-        "{:016x}{:016x}",
-        fnv1a64(text.as_bytes(), FNV_OFFSET_BASIS),
-        fnv1a64(text.as_bytes(), FNV_OFFSET_BASIS_ALT)
-    )
+    let (mut a, mut b) = (FNV_OFFSET_BASIS, FNV_OFFSET_BASIS_ALT);
+    for &byte in text.as_bytes() {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    format!("{a:016x}{b:016x}")
 }
 
 impl MachineSpec {
@@ -87,6 +89,19 @@ mod tests {
         // Reference vector: FNV-1a("a") with the standard basis.
         assert_eq!(fnv1a64(b"a", FNV_OFFSET_BASIS), 0xaf63dc4c8601ec8c);
         assert_eq!(hex_digest("").len(), 32);
+    }
+
+    #[test]
+    fn hex_digest_is_two_fnv_passes() {
+        let key = serde_json::to_string(&presets::xt4()).unwrap();
+        for text in ["", "a", "{\"seed\":7}", "caf\u{e9} \u{1f600}", key.as_str()] {
+            let two_passes = format!(
+                "{:016x}{:016x}",
+                fnv1a64(text.as_bytes(), FNV_OFFSET_BASIS),
+                fnv1a64(text.as_bytes(), FNV_OFFSET_BASIS_ALT)
+            );
+            assert_eq!(hex_digest(text), two_passes, "{text:?}");
+        }
     }
 
     #[test]

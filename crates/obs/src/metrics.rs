@@ -61,6 +61,16 @@ impl Gauge {
         self.v.fetch_max(n, Ordering::Relaxed);
     }
 
+    /// Raise the gauge by `n` (one contributor's share grew).
+    pub fn add(&self, n: u64) {
+        self.v.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lower the gauge by `n`, which the caller earlier added.
+    pub fn sub(&self, n: u64) {
+        self.v.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
@@ -523,6 +533,17 @@ mod tests {
         assert_eq!(g.get(), 5);
         g.set(1);
         assert_eq!(g.get(), 1);
+    }
+
+    #[test]
+    fn gauge_sums_deltas() {
+        let g = Gauge::default();
+        g.add(10);
+        g.add(1);
+        g.sub(10);
+        assert_eq!(g.get(), 1);
+        g.sub(1);
+        assert_eq!(g.get(), 0);
     }
 
     #[test]

@@ -96,10 +96,17 @@ fn read_header_line(reader: &mut impl BufRead, left: &mut usize) -> Option<Strin
 pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     // A stalled client must not wedge a handler thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let mut reader = BufReader::new(stream);
+    parse_request(&mut BufReader::new(stream))
+}
+
+/// Parse one request off `reader`: at most [`MAX_HEADER_BYTES`] of request
+/// line and headers, then a body of exactly `Content-Length` bytes, which
+/// is checked against [`MAX_BODY_BYTES`] before anything is allocated for
+/// it. `None` on malformed, truncated or oversized input.
+fn parse_request(reader: &mut impl BufRead) -> Option<Request> {
     let mut header_left = MAX_HEADER_BYTES;
 
-    let line = read_header_line(&mut reader, &mut header_left)?;
+    let line = read_header_line(reader, &mut header_left)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let target = parts.next()?.to_string();
@@ -110,7 +117,7 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
 
     let mut content_length = 0usize;
     loop {
-        let h = read_header_line(&mut reader, &mut header_left)?;
+        let h = read_header_line(reader, &mut header_left)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -213,6 +220,57 @@ mod tests {
         tx.join().unwrap();
         assert!(req.is_none());
         assert!(waited < Duration::from_secs(5), "rejected only after {waited:?}");
+    }
+
+    const VALID: &[u8] = b"POST /runs HTTP/1.1\r\nHost: 127.0.0.1\r\n\
+        Content-Type: application/json\r\nContent-Length: 48\r\n\r\n\
+        {\"figure\": \"fig02\", \"scale\": \"quick\", \"jobs\": 2}";
+
+    fn parse(bytes: &[u8]) -> Option<Request> {
+        let req = parse_request(&mut &bytes[..])?;
+        assert!(req.body.len() <= MAX_BODY_BYTES, "body of {} bytes", req.body.len());
+        Some(req)
+    }
+
+    /// Every truncation and 300 seeded byte substitutions of a valid
+    /// request parse to a request or `None` (a 400): never a panic, never a
+    /// body past the cap.
+    #[test]
+    fn truncated_and_mutated_requests_never_panic() {
+        let whole = parse(VALID).expect("the valid request parses");
+        assert_eq!((whole.method.as_str(), whole.path.as_str()), ("POST", "/runs"));
+        assert_eq!(whole.body, &VALID[VALID.len() - 48..]);
+        for n in 0..VALID.len() {
+            // Cut before `Content-Length`, a request has no body; cut after
+            // it, the body is short and the request is refused.
+            if let Some(req) = parse(&VALID[..n]) {
+                assert!(req.body.is_empty(), "truncation to {n} bytes kept a partial body");
+            }
+        }
+        let alphabet = b"0123456789 :\r\n/?-aELPOST\xff\x00";
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..300 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let mut bytes = VALID.to_vec();
+            bytes[(rng % VALID.len() as u64) as usize] = alphabet[(rng >> 40) as usize % alphabet.len()];
+            let _ = parse(&bytes);
+        }
+    }
+
+    #[test]
+    fn oversized_content_lengths_are_refused_before_allocating() {
+        let head = |len: &str| format!("POST /runs HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{{}}");
+        // 2^63 and 2^64 - 1 would abort the process if allocated; 2^64
+        // does not parse as a length.
+        for len in ["9223372036854775808", "18446744073709551615", "18446744073709551616", "-1"] {
+            assert!(parse(head(len).as_bytes()).is_none(), "Content-Length {len}");
+        }
+        assert!(parse(head(&(MAX_BODY_BYTES + 1).to_string()).as_bytes()).is_none());
+        // At the cap the length is accepted, and a short body is a 400.
+        assert!(parse(head(&MAX_BODY_BYTES.to_string()).as_bytes()).is_none());
+        assert_eq!(parse(head("2").as_bytes()).unwrap().body, b"{}");
     }
 
     #[test]

@@ -94,8 +94,10 @@ impl RunStatus {
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Pretty-printed figure JSON, byte-identical to the `figures` CLI's
-    /// `<id>.json` artifact for the same request.
-    pub result_json: String,
+    /// `<id>.json` artifact for the same request. Shared, so a snapshot of
+    /// the run table ([`Scheduler::run`], [`Scheduler::runs`]) never copies
+    /// a body.
+    pub result_json: Arc<str>,
     /// Wall-clock seconds for the figure run.
     pub wall_secs: f64,
     /// Jobs executed this run.
@@ -356,7 +358,7 @@ mod tests {
     fn instant_exec() -> Executor {
         Arc::new(|_id, req: &RunRequest, _wait: f64| {
             Ok(RunOutput {
-                result_json: format!("{{\"id\":\"{}\"}}", req.figure),
+                result_json: format!("{{\"id\":\"{}\"}}", req.figure).into(),
                 wall_secs: 0.0,
                 computed: 1,
                 cached: 0,
@@ -378,12 +380,32 @@ mod tests {
             [a, b].iter().all(|id| sched.run(*id).unwrap().status == RunStatus::Done)
         });
         let rec = sched.run(b).unwrap();
-        assert_eq!(rec.output.unwrap().result_json, "{\"id\":\"fig02\"}");
+        assert_eq!(&*rec.output.unwrap().result_json, "{\"id\":\"fig02\"}");
         assert!(rec.wait_secs.is_some(), "completed run must expose queue wait");
         assert!(rec.exec_secs.is_some(), "completed run must expose exec time");
         assert!(rec.wait_secs.unwrap() >= 0.0 && rec.exec_secs.unwrap() >= 0.0);
         let stats = sched.stats();
         assert_eq!((stats.done, stats.failed, stats.queued), (2, 0, 0));
+        sched.shutdown();
+    }
+
+    #[test]
+    fn snapshots_share_the_stored_result_body() {
+        let body: Arc<str> = Arc::from("{\"id\":\"fig01\"}");
+        let exec: Executor = {
+            let body = Arc::clone(&body);
+            Arc::new(move |_id, _: &RunRequest, _wait: f64| {
+                Ok(RunOutput { result_json: Arc::clone(&body), wall_secs: 0.0, computed: 0, cached: 1 })
+            })
+        };
+        let sched = Scheduler::new(4, 1, exec);
+        let id = sched.submit(req("fig01")).unwrap();
+        wait_until(|| sched.run(id).unwrap().status == RunStatus::Done);
+        let one = sched.run(id).unwrap().output.unwrap();
+        assert!(Arc::ptr_eq(&one.result_json, &body), "GET /runs/:id copied the body");
+        let all = sched.runs();
+        let listed = all[0].output.as_ref().unwrap();
+        assert!(Arc::ptr_eq(&listed.result_json, &body), "GET /runs copied the body");
         sched.shutdown();
     }
 
@@ -397,7 +419,7 @@ mod tests {
             Arc::new(move |_id, req: &RunRequest, _wait: f64| {
                 release_rx.lock().unwrap().recv().map_err(|e| e.to_string())?;
                 Ok(RunOutput {
-                    result_json: req.figure.clone(),
+                    result_json: req.figure.as_str().into(),
                     wall_secs: 0.0,
                     computed: 0,
                     cached: 0,

@@ -300,6 +300,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every truncation and 300 seeded byte substitutions of a three-record
+    /// file replay without a panic, and never yield more records plus
+    /// skipped lines than the file has non-empty lines.
+    #[test]
+    fn damaged_registries_replay_without_panic() {
+        let dir = std::env::temp_dir().join(format!("xtsim-registry-damage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        for i in 1..=3 {
+            reg.append(&record(i, "fig02", 0.5 * i as f64)).unwrap();
+        }
+        let file = std::fs::read(reg.path()).unwrap();
+        let replay = |bytes: &[u8]| {
+            std::fs::write(reg.path(), bytes).unwrap();
+            let out = reg.replay();
+            let lines = bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
+            let seen = out.records.len() + out.skipped as usize;
+            assert!(seen <= lines, "{seen} records and skips from {lines} lines");
+            out
+        };
+        for n in 0..file.len() {
+            let out = replay(&file[..n]);
+            // Whole lines before the cut replay as they were written.
+            let whole = file[..n].iter().filter(|&&b| b == b'\n').count();
+            assert!(out.records.len() >= whole, "truncation to {n} lost a whole record");
+        }
+        let alphabet = b"0123456789.-+eE,:\"{}[] \n\\\xff\xc3";
+        let mut rng = 0xD1B5_4A32_D192_ED03u64;
+        for _ in 0..300 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let mut bytes = file.clone();
+            bytes[(rng % file.len() as u64) as usize] = alphabet[(rng >> 40) as usize % alphabet.len()];
+            replay(&bytes);
+        }
+        assert_eq!(replay(&file).records.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn replay_skips_invalid_utf8_lines_only() {
         let dir = std::env::temp_dir().join(format!("xtsim-registry-utf8-{}", std::process::id()));

@@ -6,9 +6,10 @@
 //! exactly an id this service rejects with 404 — the two front ends cannot
 //! drift.
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::Value;
@@ -16,7 +17,10 @@ use xtsim::ablations::all_ablations;
 use xtsim::cli::{parse_scale, select_figures};
 use xtsim::figures::{all_figures, Figure};
 use xtsim::report::Scale;
-use xtsim::sweep::{obj, run_figure, DiskCache, FigureMetrics, SweepConfig, ENGINE_VERSION};
+use xtsim::sweep::{
+    obj, run_figure_prepared, DiskCache, FigureMetrics, FigureSpec, PreparedKey, SweepConfig,
+    ENGINE_VERSION,
+};
 
 use crate::dashboard;
 use crate::http::{read_request, write_response, Request, Response};
@@ -58,14 +62,39 @@ pub fn unix_now() -> f64 {
         .unwrap_or(0.0)
 }
 
+/// Each (figure, scale)'s prepared job keys, from that figure's first run.
+/// A figure's keys depend only on its id and scale, so they are fixed for
+/// the life of the process, and serializing them again would be most of a
+/// warm run's cost. At most one entry per catalog id and scale.
+#[derive(Default)]
+struct KeyMemo(Mutex<HashMap<FigureAtScale, Arc<[PreparedKey]>>>);
+
+/// A catalog figure id and the scale it runs at.
+type FigureAtScale = (&'static str, Scale);
+
+impl KeyMemo {
+    /// The keys of `spec`, the spec of figure `id` at `scale`: prepared on
+    /// the first call for that pair (under the lock, so concurrent first
+    /// runs prepare them once) and shared after.
+    fn keys(&self, id: &'static str, scale: Scale, spec: &FigureSpec) -> Arc<[PreparedKey]> {
+        let mut memo = self.0.lock().expect("key memo lock");
+        Arc::clone(memo.entry((id, scale)).or_insert_with(|| spec.prepare_keys().into()))
+    }
+}
+
 /// The production executor: run the figure through the cached sweep engine
 /// exactly as the `figures` CLI does, then append the outcome to the
 /// registry. The result JSON is `serde_json::to_string_pretty` of the
 /// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
 /// `<id>.json` artifact for the same (figure, scale). Every run, and every
-/// concurrent client, shares `cache`'s memory tier. The run's record goes
-/// to the registry; the run table keeps only what its routes serve.
+/// concurrent client, shares `cache`'s memory tier. A figure's job keys are
+/// prepared on its first run at a scale and kept for the executor's
+/// lifetime, so a warm run costs its verified lookups, assembly and
+/// output; each run still looks up and verifies every job. The run's
+/// record goes to the registry; the run table keeps only what its routes
+/// serve.
 pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>) -> Executor {
+    let memo = KeyMemo::default();
     Arc::new(move |id: u64, req: &RunRequest, wait_secs: f64| {
         let run = || -> Result<(String, FigureMetrics), String> {
             let fig = catalog()
@@ -76,7 +105,9 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
             if let Some(cache) = &cache {
                 cfg = cfg.with_cache(cache.clone());
             }
-            let (result, metrics) = run_figure(fig.spec(req.scale), &cfg);
+            let spec = fig.spec(req.scale);
+            let keys = memo.keys(fig.id, req.scale, &spec);
+            let (result, metrics) = run_figure_prepared(spec, &keys, &cfg);
             let result_json =
                 serde_json::to_string_pretty(&result).map_err(|e| format!("serialize: {e:?}"))?;
             Ok((result_json, metrics))
@@ -104,7 +135,7 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
             }
         }
         outcome.map(|(result_json, m)| RunOutput {
-            result_json,
+            result_json: result_json.into(),
             wall_secs: m.wall_secs,
             computed: m.computed,
             cached: m.cached,
@@ -300,7 +331,7 @@ fn dispatch(req: &Request, state: &AppState) -> Response {
                 Some(rec) => match (&rec.status, &rec.output) {
                     (RunStatus::Done, Some(out)) => {
                         // Raw pretty JSON: byte-identical to the CLI artifact.
-                        Response::json(200, out.result_json.clone())
+                        Response::json(200, out.result_json.as_bytes())
                     }
                     (RunStatus::Failed, _) => Response::error(
                         500,
@@ -407,7 +438,7 @@ mod tests {
     fn stub_state() -> AppState {
         let exec: Executor = Arc::new(|_id, req: &RunRequest, _wait: f64| {
             Ok(RunOutput {
-                result_json: format!("{{\n  \"id\": \"{}\"\n}}", req.figure),
+                result_json: format!("{{\n  \"id\": \"{}\"\n}}", req.figure).into(),
                 wall_secs: 0.01,
                 computed: 2,
                 cached: 1,
@@ -479,6 +510,32 @@ mod tests {
         let resp = handle(&get(&format!("/runs/{id}/result")), &state);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"{\n  \"id\": \"fig02\"\n}");
+    }
+
+    /// The memo hands every figure and ablation at both scales the keys a
+    /// fresh spec prepares, one entry per (id, scale).
+    #[test]
+    fn memo_keys_equal_fresh_keys() {
+        let memo = KeyMemo::default();
+        let figs = catalog();
+        let scales = [Scale::Quick, Scale::Full];
+        for fig in &figs {
+            for scale in scales {
+                memo.keys(fig.id, scale, &fig.spec(scale));
+            }
+        }
+        for fig in &figs {
+            for scale in scales {
+                let fresh = fig.spec(scale);
+                let kept = memo.keys(fig.id, scale, &fresh);
+                assert_eq!(kept.len(), fresh.jobs.len(), "{} {scale:?}", fig.id);
+                for (k, job) in kept.iter().zip(&fresh.jobs) {
+                    let want = job.key.prepare();
+                    assert_eq!((&k.digest, &k.key_json), (&want.digest, &want.key_json));
+                }
+            }
+        }
+        assert_eq!(memo.0.lock().unwrap().len(), 2 * figs.len());
     }
 
     #[test]

@@ -17,7 +17,12 @@ const VALID: &str = r#"{"figure": "fig02", "scale": "quick", "jobs": 2}"#;
 
 fn stub_state() -> AppState {
     let exec: Executor = Arc::new(|_id, req: &RunRequest, _wait: f64| {
-        Ok(RunOutput { result_json: req.figure.clone(), wall_secs: 0.0, computed: 0, cached: 0 })
+        Ok(RunOutput {
+            result_json: req.figure.as_str().into(),
+            wall_secs: 0.0,
+            computed: 0,
+            cached: 0,
+        })
     });
     AppState {
         scheduler: Scheduler::new(4, 1, exec),

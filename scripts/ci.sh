@@ -320,6 +320,7 @@ assert code == 200, f"/stats after the deeply nested body: {code}"
 
 # Cold service run (fresh cache), then warm rerun from the same cache.
 env, cold = run_to_completion({"figure": "fig02", "scale": "quick", "jobs": 2})
+fig02_jobs = env["computed"] + env["cached"]
 open(f"{out}/serve_cold.json", "wb").write(cold)
 env, warm = run_to_completion({"figure": "fig02", "scale": "quick", "jobs": 2})
 assert env["cached"] > 0, f"second run did not hit the cache: {env}"
@@ -340,6 +341,7 @@ for i, (penv, pbody) in enumerate(par):
 
 # A second figure, cold, so the newest registry record is not fig02's.
 env, _ = run_to_completion({"figure": "fig12", "scale": "quick", "jobs": 2})
+fig12_jobs = env["computed"] + env["cached"]
 
 # /stats keeps the documented shape.
 stats = json.loads(req("GET", "/stats")[1])
@@ -413,6 +415,12 @@ assert types.get("xtsim_cache_mem_entries") == "gauge", types
 assert types.get("xtsim_cache_lookup_seconds") == "histogram", types
 assert samples.get("xtsim_cache_mem_bytes", 0) > 0, "memory tier reports no residency"
 assert samples.get("xtsim_cache_mem_bytes", 0) <= 64 * 1024 * 1024, "residency above cap"
+# The executor prepares each figure's job keys on its first run only: the
+# warm and parallel fig02 runs reuse the keys of the cold one.
+assert types.get("xtsim_sweep_keys_prepared_total") == "counter", types
+prepared = samples.get("xtsim_sweep_keys_prepared_total")
+assert prepared == fig02_jobs + fig12_jobs, \
+    f"{prepared} keys prepared, expected {fig02_jobs} (fig02) + {fig12_jobs} (fig12)"
 waits = samples.get("xtsim_queue_wait_seconds_count", 0)
 assert waits >= 7, f"queue wait histogram saw {waits} runs, expected >= 7"
 infs = [v for k, v in samples.items()

@@ -3,8 +3,12 @@
 //! localhost JSON API — no chunked encoding, no keep-alive, no TLS.
 //!
 //! Every connection carries exactly one request; responses always close the
-//! connection (`Connection: close`), which keeps the server loop trivial
-//! and is fine for a CI/dashboard workload.
+//! connection (`Connection: close`), so the server's pool threads answer
+//! one connection at a time and go back to `accept`. A request is whole
+//! only when its request line and every header end in `\n`, its header
+//! block ends with the blank line and its body has all `Content-Length`
+//! bytes; anything cut short is malformed (a 400). A response goes out in
+//! one write: status line, headers and body together.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -79,16 +83,14 @@ fn reason(status: u16) -> &'static str {
 /// Read one header-block line (request line or header) into a fresh
 /// string, reading at most the `left` bytes of header budget that remain
 /// and charging what it read against them. `None` on a read error or when
-/// the budget runs out before the line ends, so an endless line costs at
-/// most the budget, never a wait for the read timeout.
+/// the line does not end in `\n`: the input ended first (a truncated
+/// request) or the budget ran out first, so an endless line costs at most
+/// the budget, never a wait for the read timeout.
 fn read_header_line(reader: &mut impl BufRead, left: &mut usize) -> Option<String> {
     let mut line = String::new();
     let n = reader.take(*left as u64).read_line(&mut line).ok()?;
     *left -= n;
-    if *left == 0 && !line.ends_with('\n') {
-        return None;
-    }
-    Some(line)
+    line.ends_with('\n').then_some(line)
 }
 
 /// Read and parse one request off `stream`. Returns `None` on malformed or
@@ -100,9 +102,10 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
 }
 
 /// Parse one request off `reader`: at most [`MAX_HEADER_BYTES`] of request
-/// line and headers, then a body of exactly `Content-Length` bytes, which
-/// is checked against [`MAX_BODY_BYTES`] before anything is allocated for
-/// it. `None` on malformed, truncated or oversized input.
+/// line and headers, each ending in `\n` and the last one blank, then a
+/// body of exactly `Content-Length` bytes, which is checked against
+/// [`MAX_BODY_BYTES`] before anything is allocated for it. `None` on
+/// malformed, truncated or oversized input.
 fn parse_request(reader: &mut impl BufRead) -> Option<Request> {
     let mut header_left = MAX_HEADER_BYTES;
 
@@ -141,20 +144,21 @@ fn parse_request(reader: &mut impl BufRead) -> Option<Request> {
     Some(Request { method, path, query, body })
 }
 
-/// Serialize `resp` onto `stream` (best effort — a vanished client is not an
-/// error worth surfacing).
-pub fn write_response(stream: &mut TcpStream, resp: &Response) {
-    let head = format!(
+/// Serialize `resp` onto `stream` in one `write_all` of the status line,
+/// headers and body (best effort — a vanished client is not an error worth
+/// surfacing).
+pub fn write_response(stream: &mut impl Write, resp: &Response) {
+    let mut out = Vec::with_capacity(128 + resp.body.len());
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
     );
-    let _ = stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(&resp.body))
-        .and_then(|()| stream.flush());
+    out.extend_from_slice(&resp.body);
+    let _ = stream.write_all(&out);
 }
 
 #[cfg(test)]
@@ -194,6 +198,8 @@ mod tests {
         assert!(roundtrip(b"GET / FTP/9\r\n\r\n").is_none());
         // Declared body longer than what arrives: read_exact fails.
         assert!(roundtrip(b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort").is_none());
+        // Input that ends inside the headers is not a complete GET.
+        assert!(roundtrip(b"GET /stats HTTP/1.1\r\nHo").is_none());
     }
 
     #[test]
@@ -232,20 +238,16 @@ mod tests {
         Some(req)
     }
 
-    /// Every truncation and 300 seeded byte substitutions of a valid
-    /// request parse to a request or `None` (a 400): never a panic, never a
-    /// body past the cap.
+    /// Every strict prefix of a valid request is refused (`None`, a 400),
+    /// and 300 seeded byte substitutions parse to a request or `None`:
+    /// never a panic, never a body past the cap.
     #[test]
     fn truncated_and_mutated_requests_never_panic() {
         let whole = parse(VALID).expect("the valid request parses");
         assert_eq!((whole.method.as_str(), whole.path.as_str()), ("POST", "/runs"));
         assert_eq!(whole.body, &VALID[VALID.len() - 48..]);
         for n in 0..VALID.len() {
-            // Cut before `Content-Length`, a request has no body; cut after
-            // it, the body is short and the request is refused.
-            if let Some(req) = parse(&VALID[..n]) {
-                assert!(req.body.is_empty(), "truncation to {n} bytes kept a partial body");
-            }
+            assert!(parse(&VALID[..n]).is_none(), "truncation to {n} bytes parsed");
         }
         let alphabet = b"0123456789 :\r\n/?-aELPOST\xff\x00";
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
@@ -257,6 +259,30 @@ mod tests {
             bytes[(rng % VALID.len() as u64) as usize] = alphabet[(rng >> 40) as usize % alphabet.len()];
             let _ = parse(&bytes);
         }
+    }
+
+    /// A writer that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_and_body() {
+        let mut w = Writes::default();
+        write_response(&mut w, &Response::json(202, "{}"));
+        let want: &[u8] = b"HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\n\
+            Content-Length: 2\r\nConnection: close\r\n\r\n{}";
+        assert_eq!(w.0, [want]);
     }
 
     #[test]

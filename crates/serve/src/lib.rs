@@ -16,9 +16,10 @@
 //!   one self-describing record per completed run;
 //! * [`dashboard`] — static HTML/inline-SVG dashboard from registry
 //!   history and committed `BENCH_*.json` records;
-//! * [`server`] — route dispatch tying it all together, plus the
-//!   production executor whose results are byte-identical to the
-//!   `figures` CLI artifacts.
+//! * [`server`] — route dispatch tying it all together, the accept pool
+//!   that answers connections on reused threads, and the production
+//!   executor whose results are byte-identical to the `figures` CLI
+//!   artifacts.
 
 #![warn(missing_docs)]
 

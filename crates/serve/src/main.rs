@@ -195,5 +195,7 @@ fn main() {
         args.jobs,
         if state.cache.is_some() { "on" } else { "off" }
     );
-    serve(listener, state);
+    let Err(e) = serve(listener, state);
+    eprintln!("error: cannot start a connection thread: {e}");
+    std::process::exit(1);
 }

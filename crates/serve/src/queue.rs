@@ -12,6 +12,10 @@
 //!
 //! The executor is injected as a closure so tests can drive admission
 //! control with a blocking stub instead of real multi-second figure runs.
+//! It publishes a run's outcome through a callback ([`Publish`]): the run
+//! is served as finished from then on, while the executor may still work
+//! on it, and its worker takes the next run only when the executor
+//! returns.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -122,8 +126,8 @@ pub struct RunRecord {
     /// Seconds the run sat queued before a worker claimed it (set when the
     /// run leaves `Queued`).
     pub wait_secs: Option<f64>,
-    /// Seconds the executor spent on the run (set when it finishes, for
-    /// `Done` and `Failed` alike).
+    /// Seconds the executor spent on the run until it published the
+    /// outcome (set then, for `Done` and `Failed` alike).
     pub exec_secs: Option<f64>,
 }
 
@@ -155,12 +159,27 @@ pub enum Rejected {
     QueueFull,
 }
 
+/// Hands a run's outcome to the scheduler: from then on the run's status
+/// and result are served. An executor calls it once per run and may keep
+/// working after it (the production executor writes the run's registry
+/// line then, off the path of clients waiting for the result).
+pub type Publish<'a> = &'a mut dyn FnMut(Result<RunOutput, String>);
+
 /// The run executor: performs the actual figure run for an admitted
-/// request. Receives the run id (to stamp registry records) and the
-/// measured queue wait in seconds (so records can carry `wait_secs` —
-/// the scheduler is the only party that knows it).
-pub type Executor =
-    Arc<dyn Fn(u64, &RunRequest, f64) -> Result<RunOutput, String> + Send + Sync>;
+/// request and publishes its outcome. Receives the run id (to stamp
+/// registry records) and the measured queue wait in seconds (so records
+/// can carry `wait_secs` — the scheduler is the only party that knows
+/// it). A run whose executor returns without publishing is marked failed.
+pub type Executor = Arc<dyn Fn(u64, &RunRequest, f64, Publish<'_>) + Send + Sync>;
+
+/// An executor that publishes what `run` returns and does nothing after.
+pub fn executor(
+    run: impl Fn(u64, &RunRequest, f64) -> Result<RunOutput, String> + Send + Sync + 'static,
+) -> Executor {
+    Arc::new(move |id, req: &RunRequest, wait: f64, publish: Publish<'_>| {
+        publish(run(id, req, wait))
+    })
+}
 
 struct State {
     queue: VecDeque<u64>,
@@ -312,30 +331,44 @@ fn worker_loop(shared: &Shared, exec: &Executor) {
             }
         };
         let started = Instant::now();
-        let outcome = exec(id, &request, wait);
-        let exec_secs = started.elapsed().as_secs_f64();
-        queue_metrics().service_seconds.observe(exec_secs);
-        let mut st = shared.state.lock().unwrap();
-        st.running -= 1;
-        let rec = st.runs.get_mut(&id).expect("running run exists");
-        rec.exec_secs = Some(exec_secs);
-        match outcome {
-            Ok(out) => {
-                rec.status = RunStatus::Done;
-                rec.output = Some(out);
-                st.done += 1;
+        let mut published = false;
+        exec(id, &request, wait, &mut |outcome| {
+            if !published {
+                published = true;
+                finish(shared, id, outcome, started.elapsed().as_secs_f64());
             }
-            Err(e) => {
-                rec.status = RunStatus::Failed;
-                rec.error = Some(e);
-                st.failed += 1;
-            }
+        });
+        if !published {
+            let outcome = Err("the executor published no outcome".to_string());
+            finish(shared, id, outcome, started.elapsed().as_secs_f64());
         }
-        st.finished.push_back(id);
-        if st.finished.len() > KEEP_FINISHED {
-            let oldest = st.finished.pop_front().expect("finished runs");
-            st.runs.remove(&oldest);
+    }
+}
+
+/// Publish run `id`'s outcome after `exec_secs` of execution: mark it done
+/// or failed and keep the run table within its bound.
+fn finish(shared: &Shared, id: u64, outcome: Result<RunOutput, String>, exec_secs: f64) {
+    queue_metrics().service_seconds.observe(exec_secs);
+    let mut st = shared.state.lock().unwrap();
+    st.running -= 1;
+    let rec = st.runs.get_mut(&id).expect("running run exists");
+    rec.exec_secs = Some(exec_secs);
+    match outcome {
+        Ok(out) => {
+            rec.status = RunStatus::Done;
+            rec.output = Some(out);
+            st.done += 1;
         }
+        Err(e) => {
+            rec.status = RunStatus::Failed;
+            rec.error = Some(e);
+            st.failed += 1;
+        }
+    }
+    st.finished.push_back(id);
+    if st.finished.len() > KEEP_FINISHED {
+        let oldest = st.finished.pop_front().expect("finished runs");
+        st.runs.remove(&oldest);
     }
 }
 
@@ -356,7 +389,7 @@ mod tests {
     }
 
     fn instant_exec() -> Executor {
-        Arc::new(|_id, req: &RunRequest, _wait: f64| {
+        executor(|_id, req: &RunRequest, _wait: f64| {
             Ok(RunOutput {
                 result_json: format!("{{\"id\":\"{}\"}}", req.figure).into(),
                 wall_secs: 0.0,
@@ -394,7 +427,7 @@ mod tests {
         let body: Arc<str> = Arc::from("{\"id\":\"fig01\"}");
         let exec: Executor = {
             let body = Arc::clone(&body);
-            Arc::new(move |_id, _: &RunRequest, _wait: f64| {
+            executor(move |_id, _: &RunRequest, _wait: f64| {
                 Ok(RunOutput { result_json: Arc::clone(&body), wall_secs: 0.0, computed: 0, cached: 1 })
             })
         };
@@ -416,7 +449,7 @@ mod tests {
         let release_rx = Arc::new(Mutex::new(release_rx));
         let exec: Executor = {
             let release_rx = Arc::clone(&release_rx);
-            Arc::new(move |_id, req: &RunRequest, _wait: f64| {
+            executor(move |_id, req: &RunRequest, _wait: f64| {
                 release_rx.lock().unwrap().recv().map_err(|e| e.to_string())?;
                 Ok(RunOutput {
                     result_json: req.figure.as_str().into(),
@@ -471,13 +504,44 @@ mod tests {
 
     #[test]
     fn executor_errors_mark_runs_failed() {
-        let exec: Executor = Arc::new(|_id, _: &RunRequest, _wait: f64| Err("boom".to_string()));
+        let exec = executor(|_id, _: &RunRequest, _wait: f64| Err("boom".to_string()));
         let sched = Scheduler::new(4, 1, exec);
         let id = sched.submit(req("fig01")).unwrap();
         wait_until(|| sched.run(id).unwrap().status == RunStatus::Failed);
         assert_eq!(sched.run(id).unwrap().error.as_deref(), Some("boom"));
         assert!(sched.run(id).unwrap().exec_secs.is_some(), "failed runs are timed too");
         assert_eq!(sched.stats().failed, 1);
+        sched.shutdown();
+    }
+
+    /// A run is served as done from the moment its executor publishes,
+    /// while the executor is still at work on it; an executor that returns
+    /// without publishing fails its run.
+    #[test]
+    fn runs_finish_when_published() {
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let exec: Executor = Arc::new(move |_id, req: &RunRequest, _wait: f64, publish: Publish<'_>| {
+            if req.figure == "silent" {
+                return;
+            }
+            publish(Ok(RunOutput {
+                result_json: req.figure.as_str().into(),
+                wall_secs: 0.0,
+                computed: 0,
+                cached: 0,
+            }));
+            release_rx.lock().unwrap().recv().unwrap();
+        });
+        let sched = Scheduler::new(4, 1, exec);
+        let id = sched.submit(req("fig01")).unwrap();
+        wait_until(|| sched.run(id).unwrap().status == RunStatus::Done);
+        let queued = sched.submit(req("silent")).unwrap();
+        assert_eq!(sched.run(queued).unwrap().status, RunStatus::Queued, "worker still busy");
+        release_tx.send(()).unwrap();
+        wait_until(|| sched.run(queued).unwrap().status == RunStatus::Failed);
+        let error = sched.run(queued).unwrap().error;
+        assert_eq!(error.as_deref(), Some("the executor published no outcome"));
         sched.shutdown();
     }
 }

@@ -5,12 +5,21 @@
 //! (`schema: "xtsim-registry-v1"`) and carry everything needed to
 //! reproduce or audit the run: engine version, canonical request params,
 //! outcome, queue timing, and the run's per-figure [`FigureMetrics`]
-//! record. Appends are a single `write` of one line, so concurrent
-//! writers (or a crash mid-append) can at worst tear the final line —
-//! which [`Registry::replay`] tolerates by skipping it, counted.
+//! record. The file is opened once, on the first append, and each append
+//! is one `write_all` of one line under the handle's lock, so appends from
+//! concurrent runs stay whole, and a crash mid-append can at worst tear the
+//! final line — which [`Registry::replay`] tolerates by skipping it,
+//! counted.
+//!
+//! The service publishes a run's result before it writes the run's line,
+//! so clients waiting for the result do not wait for the record. It
+//! [promises](Registry::promise) the line first, and [`Registry::replay`]
+//! waits for promised lines: a reader that saw a run finish finds its line.
 
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use serde::Value;
 use xtsim::sweep::FigureMetrics;
@@ -33,6 +42,34 @@ pub struct Replay {
 /// Append-only JSONL registry rooted at a directory (`<dir>/runs.jsonl`).
 pub struct Registry {
     path: PathBuf,
+    /// `runs.jsonl` in append mode, from the first [`Registry::append`] on.
+    file: Mutex<Option<File>>,
+    /// Lines promised and not yet kept; [`Registry::replay`] waits for 0.
+    promised: Mutex<usize>,
+    /// Signalled when `promised` drops to 0.
+    settled: Condvar,
+}
+
+/// A registry line promised before its run is published. Replays wait
+/// until it is kept or dropped.
+pub struct Promise<'a>(&'a Registry);
+
+impl Promise<'_> {
+    /// Append the promised record (see [`Registry::append`]).
+    pub fn keep(self, record: &Value) -> std::io::Result<()> {
+        self.0.append(record)
+    }
+}
+
+impl Drop for Promise<'_> {
+    fn drop(&mut self) {
+        // The count stays valid whoever panicked holding it.
+        let mut promised = self.0.promised.lock().unwrap_or_else(PoisonError::into_inner);
+        *promised -= 1;
+        if *promised == 0 {
+            self.0.settled.notify_all();
+        }
+    }
 }
 
 impl Registry {
@@ -40,7 +77,12 @@ impl Registry {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Registry> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Registry { path: dir.join("runs.jsonl") })
+        Ok(Registry {
+            path: dir.join("runs.jsonl"),
+            file: Mutex::new(None),
+            promised: Mutex::new(0),
+            settled: Condvar::new(),
+        })
     }
 
     /// The conventional registry location used by `xtsim-serve`.
@@ -53,22 +95,37 @@ impl Registry {
         &self.path
     }
 
-    /// Append one record as a single JSONL line.
+    /// Append one record as a single JSONL line. The first append opens
+    /// the file; a failed open is retried by the next append.
     pub fn append(&self, record: &Value) -> std::io::Result<()> {
         let mut line = serde_json::to_string(record)
             .map_err(|e| std::io::Error::other(format!("record serializes: {e:?}")))?;
         line.push('\n');
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        // One write call for line + newline keeps concurrent appends whole.
-        f.write_all(line.as_bytes())
+        let mut slot = self.file.lock().expect("no registry append panics holding the file");
+        let file = match slot.as_mut() {
+            Some(file) => file,
+            None => {
+                slot.insert(std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?)
+            }
+        };
+        // One write_all of line + newline, under the lock, keeps concurrent
+        // appends whole.
+        file.write_all(line.as_bytes())
     }
 
-    /// Read every record back, skipping (and counting) corrupt lines. A
-    /// missing file is an empty registry, not an error.
+    /// Promise one line: [`Registry::replay`] waits until the promise is
+    /// kept or dropped.
+    pub fn promise(&self) -> Promise<'_> {
+        *self.promised.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        Promise(self)
+    }
+
+    /// Read every record back, skipping (and counting) corrupt lines, once
+    /// no promised line is outstanding. A missing file is an empty
+    /// registry, not an error.
     pub fn replay(&self) -> Replay {
+        let promised = self.promised.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(self.settled.wait_while(promised, |n| *n > 0).unwrap_or_else(PoisonError::into_inner));
         let mut out = Replay::default();
         let Ok(bytes) = std::fs::read(&self.path) else {
             return out;
@@ -235,6 +292,52 @@ mod tests {
         );
         assert_eq!(first.get("wait_secs").unwrap().as_f64(), Some(0.25));
         assert_eq!(first.get("exec_secs").unwrap().as_f64(), Some(0.5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Four threads appending through one handle at once leave 200 whole
+    /// lines: the shared append handle never interleaves two records.
+    #[test]
+    fn concurrent_appends_stay_whole() {
+        let dir = std::env::temp_dir().join(format!("xtsim-registry-conc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (reg, start) = (&reg, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..50 {
+                        reg.append(&record(t * 50 + i, "fig02", 0.5)).unwrap();
+                    }
+                });
+            }
+        });
+        let replay = reg.replay();
+        assert_eq!((replay.records.len(), replay.skipped), (200, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A replay started while a line is promised returns only once the
+    /// promise is kept, and with the promised record in it.
+    #[test]
+    fn replay_waits_for_promised_lines() {
+        let dir = std::env::temp_dir().join(format!("xtsim-registry-promise-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(&dir).unwrap();
+        let promise = reg.promise();
+        let (done, replayed) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| done.send(reg.replay().records.len()).unwrap());
+            let early = replayed.recv_timeout(std::time::Duration::from_millis(100));
+            assert!(early.is_err(), "replay returned while a line was promised");
+            promise.keep(&record(1, "fig02", 1.0)).unwrap();
+            assert_eq!(replayed.recv().unwrap(), 1);
+        });
+        // A dropped promise releases replays too.
+        drop(reg.promise());
+        assert_eq!(reg.replay().records.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

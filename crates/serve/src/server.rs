@@ -1,5 +1,6 @@
 //! Route dispatch and service wiring: ties the HTTP layer to the
-//! scheduler, registry, cache, and dashboard.
+//! scheduler, registry, cache, and dashboard, and [`serve`]s connections
+//! on a pool of reused threads.
 //!
 //! The figure-id validation is *shared* with the `figures` CLI
 //! ([`xtsim::cli::select_figures`]): an id the CLI rejects with exit 2 is
@@ -7,9 +8,11 @@
 //! drift.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::Value;
@@ -24,7 +27,9 @@ use xtsim::sweep::{
 
 use crate::dashboard;
 use crate::http::{read_request, write_response, Request, Response};
-use crate::queue::{Executor, Rejected, RunOutput, RunRecord, RunRequest, RunStatus, Scheduler};
+use crate::queue::{
+    Executor, Publish, Rejected, RunOutput, RunRecord, RunRequest, RunStatus, Scheduler,
+};
 use crate::registry::{make_record, Registry};
 
 /// Everything a request handler needs; shared across connection threads.
@@ -83,19 +88,21 @@ impl KeyMemo {
 }
 
 /// The production executor: run the figure through the cached sweep engine
-/// exactly as the `figures` CLI does, then append the outcome to the
-/// registry. The result JSON is `serde_json::to_string_pretty` of the
-/// [`xtsim::report::FigureResult`] — byte-identical to the CLI's
+/// exactly as the `figures` CLI does, publish the outcome, then append it
+/// to the registry. The result JSON is `serde_json::to_string_pretty` of
+/// the [`xtsim::report::FigureResult`] — byte-identical to the CLI's
 /// `<id>.json` artifact for the same (figure, scale). Every run, and every
 /// concurrent client, shares `cache`'s memory tier. A figure's job keys are
 /// prepared on its first run at a scale and kept for the executor's
 /// lifetime, so a warm run costs its verified lookups, assembly and
 /// output; each run still looks up and verifies every job. The run's
-/// record goes to the registry; the run table keeps only what its routes
-/// serve.
+/// record goes to the registry after the run is published, so clients
+/// waiting for the result never wait for it; its line is promised first,
+/// so a registry reader that saw the run finish finds the line. The run
+/// table keeps only what its routes serve.
 pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>) -> Executor {
     let memo = KeyMemo::default();
-    Arc::new(move |id: u64, req: &RunRequest, wait_secs: f64| {
+    Arc::new(move |id: u64, req: &RunRequest, wait_secs: f64, publish: Publish<'_>| {
         let run = || -> Result<(String, FigureMetrics), String> {
             let fig = catalog()
                 .into_iter()
@@ -122,11 +129,23 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
                 &[("run_id", &id.to_string()), ("figure", &req.figure)],
             );
         }
-        if let Some(reg) = &registry {
+        let promise = registry.as_deref().map(Registry::promise);
+        publish(
+            outcome
+                .as_ref()
+                .map(|(result_json, m)| RunOutput {
+                    result_json: result_json.as_str().into(),
+                    wall_secs: m.wall_secs,
+                    computed: m.computed,
+                    cached: m.cached,
+                })
+                .map_err(String::clone),
+        );
+        if let Some(promise) = promise {
             // Record the outcome either way; a failed run is history too.
             let recorded = outcome.as_ref().map(|(_, m)| m).map_err(String::as_str);
             let record = make_record(id, req, recorded, wait_secs, exec_secs, unix_now());
-            if let Err(e) = reg.append(&record) {
+            if let Err(e) = promise.keep(&record) {
                 xtsim_obs::events::warn(
                     "xtsim_serve::executor",
                     &format!("registry append failed: {e}"),
@@ -134,12 +153,6 @@ pub fn figure_executor(cache: Option<DiskCache>, registry: Option<Arc<Registry>>
                 );
             }
         }
-        outcome.map(|(result_json, m)| RunOutput {
-            result_json: result_json.into(),
-            wall_secs: m.wall_secs,
-            computed: m.computed,
-            cached: m.cached,
-        })
     })
 }
 
@@ -414,29 +427,109 @@ fn dispatch(req: &Request, state: &AppState) -> Response {
     }
 }
 
-/// Accept loop: one thread per connection (requests are small; figure work
-/// happens on the scheduler's worker pool, never on connection threads).
-pub fn serve(listener: TcpListener, state: Arc<AppState>) {
-    for stream in listener.incoming() {
-        let Ok(mut stream) = stream else { continue };
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || {
+/// Most pool threads that wait in `accept` at once: a thread that finishes
+/// a connection while this many wait exits instead of waiting too.
+const MAX_IDLE_THREADS: usize = 16;
+
+/// `xtsim_http_threads_started_total`, registered once: connection
+/// threads the accept pool started. Far fewer than the requests served
+/// shows that threads are reused.
+fn threads_started() -> &'static Arc<xtsim_obs::Counter> {
+    static C: OnceLock<Arc<xtsim_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| {
+        xtsim_obs::counter(
+            "xtsim_http_threads_started_total",
+            "Connection threads started by the xtsim-serve accept pool.",
+        )
+    })
+}
+
+/// The leader/follower accept pool behind [`serve`]: every pool thread
+/// takes turns in `accept` on the one listener and answers the connection
+/// it accepted itself.
+struct AcceptPool {
+    listener: TcpListener,
+    state: Arc<AppState>,
+    /// Pool threads in `accept` or on their way to it. Kept exact by
+    /// single read-modify-write operations; it publishes no other data.
+    idle: AtomicUsize,
+}
+
+impl AcceptPool {
+    /// Start one more pool thread, counted idle from the start.
+    fn start_thread(self: &Arc<Self>) -> std::io::Result<()> {
+        self.idle.fetch_add(1, Ordering::Relaxed);
+        let pool = Arc::clone(self);
+        match std::thread::Builder::new().name("xtsim-http".into()).spawn(move || pool.run()) {
+            Ok(_) => {
+                threads_started().inc();
+                Ok(())
+            }
+            Err(e) => {
+                self.idle.fetch_sub(1, Ordering::Relaxed);
+                Err(e)
+            }
+        }
+    }
+
+    /// One pool thread: accept a connection and answer it, then wait in
+    /// `accept` again unless [`MAX_IDLE_THREADS`] threads already do.
+    fn run(self: Arc<Self>) {
+        loop {
+            let Ok((mut stream, _)) = self.listener.accept() else { continue };
+            if self.idle.fetch_sub(1, Ordering::Relaxed) == 1 {
+                // This thread took the last idle slot: start the next one
+                // before reading, so a client that stalls for the whole
+                // read timeout holds only this thread. A failed spawn is
+                // not fatal: this thread accepts again once it is done.
+                let _ = self.start_thread();
+            }
             let resp = match read_request(&mut stream) {
-                Some(req) => handle(&req, &state),
+                Some(req) => handle(&req, &self.state),
                 None => Response::error(400, "malformed request"),
             };
             write_response(&mut stream, &resp);
-        });
+            // Rejoin before the connection closes, so a client that
+            // connects again as soon as it sees the close finds this
+            // thread idle rather than making the pool start another.
+            let rejoined = self.idle.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < MAX_IDLE_THREADS).then_some(n + 1)
+            });
+            if rejoined.is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// Serve `listener` on a leader/follower pool of connection threads. Each
+/// pool thread loops `accept` → [`read_request`] → [`handle`] →
+/// [`write_response`] on its own connection (one request per connection,
+/// `Connection: close`; figure work runs on the scheduler's workers, never
+/// here). A thread that takes the last idle slot first starts one more, so
+/// a thread is always in `accept` and a stalled client blocks no one; a
+/// thread that comes back while [`MAX_IDLE_THREADS`] wait exits.
+///
+/// The calling thread starts the first pool thread and then only blocks,
+/// so a panicking handler ends its own thread and nothing else, and no
+/// burst of connections can end `serve`. It returns only if that first
+/// thread cannot be started.
+pub fn serve(listener: TcpListener, state: Arc<AppState>) -> std::io::Result<Infallible> {
+    let pool = Arc::new(AcceptPool { listener, state, idle: AtomicUsize::new(0) });
+    pool.start_thread()?;
+    loop {
+        std::thread::park();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::executor;
     use std::collections::BTreeMap as Map;
 
     fn stub_state() -> AppState {
-        let exec: Executor = Arc::new(|_id, req: &RunRequest, _wait: f64| {
+        let exec = executor(|_id, req: &RunRequest, _wait: f64| {
             Ok(RunOutput {
                 result_json: format!("{{\n  \"id\": \"{}\"\n}}", req.figure).into(),
                 wall_secs: 0.01,
@@ -510,6 +603,29 @@ mod tests {
         let resp = handle(&get(&format!("/runs/{id}/result")), &state);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"{\n  \"id\": \"fig02\"\n}");
+    }
+
+    /// A registry reader that starts once a run is published finds the
+    /// run's line, although the executor writes it after publishing.
+    #[test]
+    fn a_published_run_is_in_the_registry() {
+        let dir = std::env::temp_dir().join(format!("xtsim-published-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(Registry::open(&dir).unwrap());
+        let exec = figure_executor(None, Some(Arc::clone(&registry)));
+        let req = RunRequest { figure: "figZZ".into(), scale: Scale::Quick, jobs: 1 };
+        std::thread::scope(|s| {
+            let mut reader = None;
+            exec(1, &req, 0.0, &mut |outcome| {
+                assert!(outcome.is_err(), "an unknown figure fails its run");
+                let registry = Arc::clone(&registry);
+                reader = Some(s.spawn(move || registry.replay().records.len()));
+                // Time for a reader that did not wait to read too early.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            });
+            assert_eq!(reader.expect("published").join().unwrap(), 1);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The memo hands every figure and ablation at both scales the keys a

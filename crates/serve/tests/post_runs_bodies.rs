@@ -6,17 +6,16 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use xtsim_serve::http::Request;
-use xtsim_serve::queue::{Executor, RunOutput, RunRequest, Scheduler};
+use xtsim_serve::queue::{executor, RunOutput, RunRequest, Scheduler};
 use xtsim_serve::server::{handle, AppState};
 
 const VALID: &str = r#"{"figure": "fig02", "scale": "quick", "jobs": 2}"#;
 
 fn stub_state() -> AppState {
-    let exec: Executor = Arc::new(|_id, req: &RunRequest, _wait: f64| {
+    let exec = executor(|_id, req: &RunRequest, _wait: f64| {
         Ok(RunOutput {
             result_json: req.figure.as_str().into(),
             wall_secs: 0.0,

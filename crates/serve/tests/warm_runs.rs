@@ -9,12 +9,19 @@ use serde::Value;
 use xtsim::figures::figure;
 use xtsim::report::Scale;
 use xtsim::sweep::{run_figure, DiskCache, SweepConfig};
-use xtsim_serve::queue::RunRequest;
+use xtsim_serve::queue::{Executor, RunOutput, RunRequest};
 use xtsim_serve::registry::Registry;
 use xtsim_serve::server::figure_executor;
 
 fn keys_prepared() -> u64 {
     xtsim_obs::snapshot().counter_sum("xtsim_sweep_keys_prepared_total", &[])
+}
+
+/// Run `req` as run `id` and return the outcome `exec` published.
+fn run(exec: &Executor, id: u64, req: &RunRequest) -> RunOutput {
+    let mut published = None;
+    exec(id, req, 0.0, &mut |outcome| published = Some(outcome));
+    published.expect("the executor publishes").unwrap()
 }
 
 /// The job digests of a registry record, in job order.
@@ -37,9 +44,9 @@ fn a_warm_run_prepares_no_keys_and_returns_the_same_bytes() {
     let jobs = figure("fig02").unwrap().spec(Scale::Quick).jobs.len() as u64;
 
     let before = keys_prepared();
-    let cold = exec(1, &req, 0.0).unwrap();
+    let cold = run(&exec, 1, &req);
     assert_eq!(keys_prepared() - before, jobs, "the first run prepares each key once");
-    let warm = exec(2, &req, 0.0).unwrap();
+    let warm = run(&exec, 2, &req);
     assert_eq!(keys_prepared() - before, jobs, "the warm run prepared keys again");
     assert_eq!((warm.computed, warm.cached), (0, jobs as usize));
     assert_eq!(warm.result_json, cold.result_json);

@@ -421,6 +421,14 @@ assert types.get("xtsim_sweep_keys_prepared_total") == "counter", types
 prepared = samples.get("xtsim_sweep_keys_prepared_total")
 assert prepared == fig02_jobs + fig12_jobs, \
     f"{prepared} keys prepared, expected {fig02_jobs} (fig02) + {fig12_jobs} (fig12)"
+# Connection threads are reused: a pool thread answers connection after
+# connection, so far fewer threads start than requests arrive (a thread per
+# connection would start one per request).
+assert types.get("xtsim_http_threads_started_total") == "counter", types
+threads = samples.get("xtsim_http_threads_started_total", 0)
+requests = sum(v for k, v in samples.items() if k.startswith("xtsim_http_requests_total"))
+assert threads < requests / 4, \
+    f"{threads} connection threads started for {requests} requests"
 waits = samples.get("xtsim_queue_wait_seconds_count", 0)
 assert waits >= 7, f"queue wait histogram saw {waits} runs, expected >= 7"
 infs = [v for k, v in samples.items()
